@@ -7,6 +7,14 @@
     cpdistill report  --out runs/r0
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
+
+BLAS threads: the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
+MKL_NUM_THREADS and BLIS_NUM_THREADS to 1 when it is imported, before numpy
+loads, unless they are already set; an explicit value in the environment
+wins. The student's GEMMs are small, so a second BLAS thread gains little
+on an idle machine, and a run took more than twice as long with the default
+two threads while another process held the second of two cores. A program
+that imports numpy before cpdistill keeps its own BLAS setting.
 """
 from __future__ import annotations
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_groups, load_optimizer, save_groups, save_optimizer
-from .config import LambdaSchedule, ProtocolConfig, save_config
+from .config import ProtocolConfig, save_config
 from .metrics import MetricsMatrix
 from .model import (
     StudentModel,
@@ -57,7 +57,6 @@ __all__ = [
     "EWCState",
     "CallCounters",
     "DistillDataset",
-    "anneal_lambda",
     "distill_loss",
     "estimate_fisher",
     "ewc_penalty",
@@ -82,10 +81,8 @@ class StageConfig:
     task_ids: list[str]
     epochs: int = 2
     batch_size: int = 128
-    lr: float = 1e-4
     episodes_per_task: int = 96
     replay_m: int = 8
-    strategy: str = "ours"
 
     def __post_init__(self):
         if self.index < 1:
@@ -211,19 +208,21 @@ class DistillDataset:
 # loss surfaces
 
 
-def anneal_lambda(schedule: LambdaSchedule, t: int) -> float:
-    return schedule.value(t)
-
-
 def distill_loss(
     model: StudentModel,
     windows: np.ndarray,
     contexts: np.ndarray,
     targets: np.ndarray,
     lam: float,
-) -> Tensor:
+    *,
+    with_actions: bool = False,
+) -> Tensor | tuple[Tensor, Tensor]:
     """Batch mean of per-sample sum-of-squares action error, plus the
-    annealed load-balancing term averaged over MoE layers."""
+    annealed load-balancing term averaged over MoE layers.
+
+    With ``with_actions`` it returns ``(loss, actions)``: the student's
+    action means from the same forward pass, for a penalty on the same batch
+    to reuse (``kl_penalty(..., actions=...)``)."""
     if len(windows) == 0:
         raise InputError("empty distillation batch")
     actions, aux, _ = model.forward(windows, contexts)
@@ -231,7 +230,7 @@ def distill_loss(
     loss = T.tmean(T.tsum(diff * diff, axis=1))
     if model.config.use_aux and lam != 0.0:
         loss = loss + aux * lam
-    return loss
+    return (loss, actions) if with_actions else loss
 
 
 def estimate_fisher(model: StudentModel, batches, lam: float = 0.0) -> dict[str, np.ndarray]:
@@ -275,14 +274,25 @@ def kl_penalty(
     windows: np.ndarray,
     contexts: np.ndarray,
     sigma0: float = 1.0,
+    *,
+    actions: Tensor | None = None,
 ) -> Tensor:
     """Closed-form KL between fixed-variance Gaussians with shared sigma0:
-    mean over the batch of ||mu_new - mu_old||^2 / (2 sigma0^2)."""
+    mean over the batch of ||mu_new - mu_old||^2 / (2 sigma0^2).
+
+    ``actions`` are the student's action means on exactly these windows and
+    contexts, from a grad-enabled forward pass the caller already ran (the
+    train step takes them from ``distill_loss(..., with_actions=True)``).
+    The penalty then joins that graph, so one backward sweep gives the
+    gradient of both terms and the student runs forward and backward once
+    per step; value and gradient equal those of a second student pass up to
+    rounding. Without ``actions`` the student is run here."""
     if prev_model is None:
         raise StateError("KL penalty needs the previous stage's snapshot")
     with T.no_grad():
         mu_old, _, _ = prev_model.forward(windows, contexts)
-    actions, _, _ = model.forward(windows, contexts)
+    if actions is None:
+        actions, _, _ = model.forward(windows, contexts)
     diff = actions - Tensor(mu_old.data)
     return T.tmean(T.tsum(diff * diff, axis=1)) * (1.0 / (2.0 * sigma0**2))
 
@@ -361,10 +371,8 @@ class ProtocolRunner:
             task_ids=[s.task_id for s in self.stream[k - 1]],
             epochs=cfg.epochs_stage1 if k == 1 else cfg.epochs_later,
             batch_size=cfg.batch_size,
-            lr=cfg.lr,
             episodes_per_task=cfg.episodes_per_task,
             replay_m=cfg.replay_m,
-            strategy=cfg.strategy,
         )
 
     # ------------------------------------------------------------------
@@ -483,8 +491,9 @@ class ProtocolRunner:
                 update_buffer(self.buffer, len(pool), spec.task_id, chosen)
                 self.audits.append(audit)
 
-        # 7. strategy state for the next stage
-        if traits.ewc:
+        # 7. strategy state for the next stage, when one follows
+        has_next = k < self.config.n_stages
+        if traits.ewc and has_next:
             fisher_batches = self._fisher_batches(dataset, rng=_rng(self.seed, k, _FISHER))
             fisher = estimate_fisher(
                 self.model, fisher_batches, lam=self.schedule.value(self.global_step)
@@ -493,7 +502,7 @@ class ProtocolRunner:
                 g.name: g.tensor.data.copy() for g in self.model.groups() if g.trainable
             }
             self.ewc_state = EWCState(anchors, fisher, lam=self.config.ewc_lambda)
-        if traits.kl:
+        if traits.kl and has_next:
             self.prev_model = self.model.clone()
 
         if self.out_dir is not None:
@@ -505,8 +514,9 @@ class ProtocolRunner:
     def _train_step(self, batch, ctx, infonce_on, nce_stats, nce_labels, rng) -> None:
         self.optimizer.zero_grad()
         lam = self.schedule.value(self.global_step)
-        loss = distill_loss(
-            self.model, batch.windows, ctx[batch.task_idx], batch.targets, lam
+        contexts = ctx[batch.task_idx]
+        loss, actions = distill_loss(
+            self.model, batch.windows, contexts, batch.targets, lam, with_actions=True
         )
         if infonce_on:
             idx = self._nce_sample(rng, nce_labels)
@@ -523,8 +533,9 @@ class ProtocolRunner:
                 self.model,
                 self.prev_model,
                 batch.windows,
-                ctx[batch.task_idx],
+                contexts,
                 self.config.kl_sigma0,
+                actions=actions,
             )
         loss.backward()
         self.optimizer.step()
@@ -585,7 +596,7 @@ class ProtocolRunner:
         self.matrix.save(d / "metrics.tsv")
         self._write_contexts(d / "contexts.tsv")
         write_audits(d / "audits.tsv", self.audits)
-        if self.ewc_state is not None:
+        if self.ewc_state is not None and k < self.config.n_stages:
             save_groups(
                 d / "fisher",
                 [

@@ -157,6 +157,14 @@ def moe_route(x: Tensor, layer: MoELayer, k: int) -> tuple[Tensor, GatingStats]:
     Gate probabilities are a softmax over all experts; the top-k by logit
     (ties to the lowest index) are kept and their probabilities renormalized.
     Gradients reach the gate only through the selected probabilities.
+
+    Dispatch is sorted and dropless, as in MegaBlocks (Gale et al.,
+    arXiv:2211.15841): the (token, slot) pairs are stably sorted by expert,
+    the tokens are gathered once, each expert's MLP runs on its contiguous
+    slice, and the outputs, weighted by their probabilities, are scattered
+    back in one pass. With top-1 every token appears once, so the gather and
+    the scatter assign rows directly; with top-k > 1 a token's k outputs are
+    summed in expert order. Experts that receive no token are skipped.
     """
     n = layer.n_experts
     if k > n:
@@ -171,16 +179,21 @@ def moe_route(x: Tensor, layer: MoELayer, k: int) -> tuple[Tensor, GatingStats]:
     p_norm = p_masked / denom
 
     m_tokens = x.shape[0]
-    out: Tensor | None = None
-    for i in range(n):
-        rows = np.nonzero(mask[:, i])[0]
-        if rows.size == 0:
-            continue
-        xi = T.take_rows(x, rows)
-        wi = T.take_rows(p_norm[:, i : i + 1], rows)
-        scattered = T.put_rows(layer.experts[i](xi) * wi, rows, m_tokens)
-        out = scattered if out is None else out + scattered
-    assert out is not None
+    pair_expert = sel.reshape(-1)
+    order = np.argsort(pair_expert, kind="stable")
+    tokens = order // k
+    experts = pair_expert[order]
+    counts = np.bincount(pair_expert, minlength=n)
+    xs = T.take_rows(x, tokens)
+    weights = T.take_rows(T.reshape(p_norm, (m_tokens * n, 1)), tokens * n + experts)
+    outs = []
+    lo = 0
+    for i in np.nonzero(counts)[0]:
+        hi = lo + int(counts[i])
+        outs.append(layer.experts[i](xs[lo:hi]))
+        lo = hi
+    ys = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
+    out = T.put_rows(ys * weights, tokens, m_tokens)
     stats = GatingStats(
         loads=mask.sum(axis=0),
         importance=T.tsum(p_full, axis=0),

@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import MetricsMatrix, UndefinedMetricError, accuracy, bwt, pca_project
-from .model import StudentModel
 
-__all__ = ["summary_table", "render_report", "load_contexts", "write_routing_histograms"]
+__all__ = ["summary_table", "render_report", "load_contexts"]
 
 
 def load_contexts(path) -> tuple[list[str], np.ndarray]:
@@ -40,18 +39,6 @@ def summary_table(matrix: MetricsMatrix, strategy: str | None = None) -> str:
                 b = "n/a"
         lines.append(f"{k}\t{repr(acc)}\t{b}")
     return "\n".join(lines) + "\n"
-
-
-def write_routing_histograms(out_dir: Path, model: StudentModel, windows, z) -> None:
-    """Per-layer expert loads on a probe batch."""
-    loads = model.routing_loads(windows, z)
-    for l, layer_loads in enumerate(loads):
-        total = layer_loads.sum()
-        lines = ["expert\tload\tfraction"]
-        for i, c in enumerate(layer_loads):
-            frac = c / total if total else 0.0
-            lines.append(f"{i}\t{int(c)}\t{repr(float(frac))}")
-        (out_dir / f"routing_layer{l}.tsv").write_text("\n".join(lines) + "\n")
 
 
 def render_report(run_dir, report_dir=None) -> Path:

@@ -12,6 +12,17 @@ layer_norm, mse) validate their outputs and raise NumericError naming the
 kernel. Pure data movement (add, mul, concat, slice, reshape, transpose)
 cannot create non-finite values from finite inputs and is left unchecked.
 
+Gradients are accumulated without defensive copies. A view of a child's
+gradient (reshape, transpose, concat, broadcast sums) is stored as it is and
+copied only when a second contribution has to be added in place; arrays a
+backward allocated for one edge are owned and summed into directly. Row
+gathers and scatters (`take_rows`, `put_rows`) assign directly when their
+row indices are unique, as in a top-1 MoE dispatch, and use `np.add.at` only
+when an index repeats (top-k > 1 sends a token to several experts). A basic
+slice adds its gradient into the matching part of its parent's gradient.
+A graph is swept backward once: GELU's backward reuses its saved buffers in
+place.
+
 Everything here is single-threaded and deterministic: same inputs, same
 bits out.
 """
@@ -77,7 +88,7 @@ def no_grad():
 
 def _as_float_array(x) -> np.ndarray:
     arr = np.asarray(x)
-    if not np.issubdtype(arr.dtype, np.floating):
+    if arr.dtype.kind != "f":  # not np.issubdtype: every Tensor passes here
         arr = arr.astype(np.float64)
     return arr
 
@@ -85,11 +96,14 @@ def _as_float_array(x) -> np.ndarray:
 class Tensor:
     """A dense float array plus an optional backward edge into the graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_float_array(data)
         self.grad: np.ndarray | None = None
+        # True when `grad` was allocated for this tensor alone and may be
+        # added to in place; False when it is a child's array or a view of it
+        self._grad_owned = False
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -129,6 +143,7 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
+        self._grad_owned = True
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -194,14 +209,38 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add a gradient contribution. ``fresh`` marks arrays the caller
-    allocated exclusively for this edge; shared or view arrays are copied so
-    later in-place accumulation cannot corrupt a sibling's gradient."""
+    allocated exclusively for this edge. Other arrays (a child's gradient or
+    a view of it) are kept as they are; a second contribution then makes a
+    new sum instead of writing into memory a sibling may share."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if fresh else np.array(g, copy=True)
-    else:
+        t.grad = g
+        t._grad_owned = fresh
+    elif t._grad_owned:
         t.grad += g
+    else:
+        t.grad = t.grad + g
+        t._grad_owned = True
+
+
+def _own_grad(t: Tensor) -> np.ndarray:
+    """``t``'s gradient as an array it owns, zeros when it has none yet."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    elif not t._grad_owned:
+        t.grad = t.grad.copy()
+    t._grad_owned = True
+    return t.grad
+
+
+def _unique_rows(idx: np.ndarray, n: int) -> bool:
+    """True when no row of an n-row axis is indexed twice."""
+    if idx.size < 2:
+        return True
+    hit = np.zeros(n, dtype=bool)
+    hit[idx] = True
+    return int(np.count_nonzero(hit)) == idx.size
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -409,16 +448,37 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation (0.5 x (1 + tanh(c (x + 0.044715 x^3))))."""
+    """GELU, tanh approximation (0.5 x (1 + tanh(c (x + 0.044715 x^3)))).
+
+    Forward and backward run in place on a few buffers, in the operation
+    order of the formula, so the bits equal the out-of-place expression."""
     x = a.data
     x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * x2 * x))
-    data = 0.5 * x * (1.0 + t)
+    t = x2 * 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = x * 0.5
+    data *= t + 1.0
     _check_finite(data, "gelu")
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + (3 * 0.044715) * x2)
-        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner), fresh=True)
+        # dinner = c (1 + 3 * 0.044715 x^2), built in x2's buffer
+        dinner = x2
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        # 0.5 x (1 - t^2) dinner + 0.5 (1 + t), times g
+        grad = t * t
+        np.subtract(1.0, grad, out=grad)
+        grad *= x * 0.5
+        grad *= dinner
+        half = t + 1.0
+        half *= 0.5
+        grad += half
+        grad *= g
+        _accum(a, grad, fresh=True)
 
     return _make(data, (a,), backward)
 
@@ -476,23 +536,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows along the first axis (embedding lookup / MoE dispatch)."""
+    """Gather rows along the first axis (embedding lookup / MoE dispatch).
+
+    The backward assigns into the rows when ``idx`` has no repeats and
+    scatter-adds with ``np.add.at`` when it does."""
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
 
     def backward(g):
-        gz = np.zeros_like(a.data)
-        np.add.at(gz, idx, g)
-        _accum(a, gz, fresh=True)
+        if not a.requires_grad:
+            return
+        if _unique_rows(idx, a.shape[0]):
+            _own_grad(a)[idx] += g
+        else:
+            np.add.at(_own_grad(a), idx, g)
 
     return _make(data, (a,), backward)
 
 
 def put_rows(rows: Tensor, idx: np.ndarray, n: int) -> Tensor:
-    """Scatter-add rows into a zero (n, ...) tensor (MoE combine)."""
+    """Scatter rows into a zero (n, ...) tensor (MoE combine): a direct
+    assignment when ``idx`` has no repeats, a sum per row when it does."""
     idx = np.asarray(idx, dtype=np.intp)
     data = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
-    np.add.at(data, idx, rows.data)
+    if _unique_rows(idx, n):
+        data[idx] = rows.data
+    else:
+        np.add.at(data, idx, rows.data)
 
     def backward(g):
         _accum(rows, g[idx], fresh=True)  # fancy indexing copies
@@ -531,9 +601,8 @@ def _getitem(a: Tensor, key) -> Tensor:
     data = a.data[key]
 
     def backward(g):
-        gz = np.zeros_like(a.data)
-        gz[key] = g
-        _accum(a, gz, fresh=True)
+        if a.requires_grad:
+            _own_grad(a)[key] += g
 
     return _make(data, (a,), backward)
 

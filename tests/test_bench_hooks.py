@@ -1,0 +1,106 @@
+"""The program names the benchmark under `perfbench/` patches or calls.
+
+`perfbench/tracing.py` replaces functions and methods with span wrappers
+and counts every tensor kernel; `checks.py` and `refbatch.py` call the
+program directly. A refactor that renames one of these, or changes how it
+is called, would make benchmark operations fail; these tests fail first.
+"""
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from cpdistill import continual, model, tensor
+from cpdistill.config import ProtocolConfig
+from cpdistill.teachers import make_task_stream
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def binds(fn, *args, **kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
+    return True
+
+
+def test_traced_names_exist():
+    tracing = bench_module("tracing")
+    for owner, attr, name, _ in tracing.TRACE:
+        assert callable(getattr(owner, attr, None)), name
+    for name in tracing.KERNELS:
+        assert callable(getattr(tensor, name, None)), name
+    assert "_getitem" in tracing.KERNELS
+    assert set(tensor.__all__) - set(tracing.KERNELS) == {
+        "Tensor", "DimensionError", "NumericError", "no_grad"}
+
+
+@pytest.mark.parametrize("op,kernel", [
+    (lambda a, b: a + b, "add"), (lambda a, b: 2.0 + a, "add"), (lambda a, b: a * b, "mul"),
+    (lambda a, b: 2.0 * a, "mul"), (lambda a, b: a - b, "sub"), (lambda a, b: 2.0 - a, "sub"),
+    (lambda a, b: -a, "neg"), (lambda a, b: a / b, "div"), (lambda a, b: 2.0 / b, "div"),
+    (lambda a, b: a @ b, "matmul"), (lambda a, b: a ** 2, "pow_const"),
+    (lambda a, b: a[0], "_getitem"),
+])
+def test_tensor_operators_reach_kernels_through_module_globals(monkeypatch, op, kernel):
+    calls = []
+    real = getattr(tensor, kernel)
+    monkeypatch.setattr(tensor, kernel, lambda *a, **kw: calls.append(kernel) or real(*a, **kw))
+    a = tensor.Tensor(np.full((2, 2), 2.0))
+    b = tensor.Tensor(np.full((2, 2), 4.0))
+    op(a, b)
+    assert calls == [kernel]
+
+
+def test_call_forms_used_by_the_benchmark():
+    checks, refbatch = bench_module("checks"), bench_module("refbatch")
+    assert checks.kl_penalty is continual.kl_penalty
+    assert checks.rollout_success_batch is continual.rollout_success_batch
+    assert refbatch.distill_loss is continual.distill_loss
+    assert refbatch.moe_route is model.moe_route
+    runner = object()
+    batch = SimpleNamespace(length=2, windows=np.zeros((1, 2, 4)))
+    assert binds(continual.ProtocolRunner._train_step, runner, batch, None, False, None, None, None)
+    assert binds(continual.rollout_success_batch, "model", "spec", "z", 4, 7)
+    assert binds(continual.rollout_success_batch, "model", "spec", "z", 4, seed=7)
+    assert binds(continual.kl_penalty, "new", "old", "windows", "contexts", 1.0)
+    assert binds(continual.distill_loss, "model", "windows", "z", "targets", 0.01)
+    assert binds(continual.run_protocol, "config", 3, out_dir="run")
+    assert binds(model.moe_route, "x", "layer", 1)
+    assert binds(model.StudentModel.block_forward, "self", "h", 0)
+    assert binds(model.StudentModel.predict_batch, "self", "windows", "z")
+    assert binds(tensor.layer_norm, "x", "gain", "bias")
+
+
+def test_train_step_calls_the_loss_hooks_through_module_globals(monkeypatch):
+    cfg = ProtocolConfig(strategy="kl", n_stages=2, tasks_per_stage=1, episodes_per_task=10, replay_m=0,
+                         model=dict(hidden_dim=8, depth=1, experts_per_layer=2, n_heads=2,
+                                    mlp_multiplier=2, encoder_hidden=4))
+    runner = continual.ProtocolRunner(cfg, seed=1)
+    runner.prev_model = runner.model.clone()
+    calls = []
+    for name in ("distill_loss", "kl_penalty"):
+        real = getattr(continual, name)
+        monkeypatch.setattr(continual, name,
+                            lambda *a, _n=name, _f=real, **kw: calls.append(_n) or _f(*a, **kw))
+    rng = np.random.default_rng(0)
+    obs = runner.model_cfg.obs_dim
+    batch = SimpleNamespace(length=3, windows=rng.normal(size=(4, 3, obs)),
+                            targets=rng.normal(size=(4, runner.model_cfg.action_dim)),
+                            task_idx=np.zeros(4, dtype=np.intp))
+    ctx = np.ones((1, runner.model_cfg.task_embed_dim)) / 4.0
+    runner._train_step(batch, ctx, False, None, None, rng)
+    assert calls == ["distill_loss", "kl_penalty"]
+    spec = make_task_stream(runner.suite, 1, 1, seed=0)[0][0]
+    rate = continual.rollout_success_batch(runner.model, spec, ctx[0], 2, 5)
+    assert 0.0 <= rate <= 1.0

@@ -10,7 +10,6 @@ from cpdistill.continual import (
     ProtocolRunner,
     StageConfig,
     StateError,
-    anneal_lambda,
     distill_loss,
     estimate_fisher,
     ewc_penalty,
@@ -61,13 +60,13 @@ def batch_for(model, n=6, seed=0):
 
 def test_lambda_schedule_values():
     sched = LambdaSchedule()
-    assert anneal_lambda(sched, 0) == 0.01
-    assert anneal_lambda(sched, 100) == pytest.approx(0.005)
-    assert anneal_lambda(sched, 10**6) == 0.0001
-    grid = [anneal_lambda(sched, t) for t in range(0, 5000, 37)]
+    assert sched.value(0) == 0.01
+    assert sched.value(100) == pytest.approx(0.005)
+    assert sched.value(10**6) == 0.0001
+    grid = [sched.value(t) for t in range(0, 5000, 37)]
     assert all(b <= a for a, b in zip(grid, grid[1:]))
     with pytest.raises(ValueError):
-        anneal_lambda(sched, -1)
+        sched.value(-1)
 
 
 def test_distill_loss_values():
@@ -353,3 +352,86 @@ def test_resume_matches_straight_run(tmp_path):
     matrix = resumed.run(resume=True)
     for k in straight.stages():
         assert straight.rows[k].tobytes() == matrix.rows[k].tobytes()
+
+
+def test_kl_step_runs_the_student_once(monkeypatch):
+    from types import SimpleNamespace
+
+    runner = ProtocolRunner(tiny_protocol(strategy="kl"), seed=12)
+    model = runner.model
+    # a later-stage state: a snapshot that differs from the student
+    runner.prev_model = model.clone()
+    rng = np.random.default_rng(3)
+    for g in runner.prev_model.params.values():
+        g.tensor.data = g.tensor.data + rng.normal(0.0, 0.01, g.tensor.data.shape)
+    windows, ctx, targets = batch_for(model, n=8, seed=4)
+    batch = SimpleNamespace(length=5, windows=windows, targets=targets,
+                            task_idx=np.arange(8), uid=np.zeros(8, dtype=np.intp))
+    lam = runner.schedule.value(runner.global_step)
+
+    student_passes = []
+    forward = StudentModel.forward
+
+    def counted(self, *args):
+        if self is model:
+            student_passes.append(T._grad_enabled)
+        return forward(self, *args)
+
+    monkeypatch.setattr(StudentModel, "forward", counted)
+    one_pass = {}
+    monkeypatch.setattr(runner.optimizer, "step", lambda: one_pass.update(
+        {g.name: g.tensor.grad.copy() for g in model.groups() if g.tensor.grad is not None}))
+    runner._train_step(batch, ctx, False, None, None, rng)
+    assert student_passes == [True]
+
+    # the two-pass reference: the penalty runs its own student forward
+    runner.optimizer.zero_grad()
+    loss = distill_loss(model, windows, ctx, targets, lam) + kl_penalty(
+        model, runner.prev_model, windows, ctx, runner.config.kl_sigma0
+    )
+    loss.backward()
+    assert student_passes == [True, True, True]
+    two_pass = {g.name: g.tensor.grad for g in model.groups() if g.tensor.grad is not None}
+    assert set(one_pass) == set(two_pass) and "head.w" in one_pass
+    # relative to the largest entry: some groups (key biases) have a zero
+    # gradient that both sweeps only round
+    scale = max(np.max(np.abs(g)) for g in two_pass.values())
+    for name, g in two_pass.items():
+        assert np.max(np.abs(one_pass[name] - g)) <= 1e-12 * scale, name
+
+
+def test_ewc_fisher_only_before_a_later_stage(tmp_path, monkeypatch):
+    import cpdistill.continual as continual
+
+    calls = []
+    real = continual.estimate_fisher
+    monkeypatch.setattr(continual, "estimate_fisher", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    cfg = tiny_protocol(strategy="ewc", n_stages=3, epochs_stage1=1, epochs_later=1, replay_m=0)
+    run_protocol(cfg, seed=11, out_dir=tmp_path / "run")
+    assert len(calls) == 2
+
+    # reference: the same three stages with a fourth to come, so stage 3
+    # estimates its Fisher as well
+    ref = ProtocolRunner(ProtocolConfig(**{**cfg.to_dict(), "n_stages": 4}), seed=11,
+                         out_dir=tmp_path / "ref")
+    for k in (1, 2, 3):
+        ref.run_stage(ref.stage_config(k), ref.stream[k - 1])
+    assert len(calls) == 5
+
+    def files(d):
+        return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+    for k in (1, 2):
+        assert files(tmp_path / "run" / f"stage_{k}") == files(tmp_path / "ref" / f"stage_{k}")
+    run3, ref3 = files(tmp_path / "run" / "stage_3"), files(tmp_path / "ref" / "stage_3")
+    assert {p for p in ref3 if p.parts[0] == "fisher"} == set(ref3) - set(run3)
+    assert all(run3[p] == ref3[p] for p in run3)
+
+
+def test_kl_snapshot_only_before_a_later_stage(monkeypatch):
+    clones = []
+    clone = StudentModel.clone
+    monkeypatch.setattr(StudentModel, "clone", lambda self: clones.append(1) or clone(self))
+    cfg = tiny_protocol(strategy="kl", epochs_stage1=1, epochs_later=1, replay_m=0)
+    _, runner = run_protocol(cfg, seed=13)
+    assert len(clones) == 1 and runner.prev_model is not None

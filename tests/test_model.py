@@ -14,7 +14,7 @@ from cpdistill.model import (
     expand_experts,
     moe_route,
 )
-from cpdistill.optim import eval_with_gradients, finite_difference_grads
+from cpdistill.optim import ParamGroup, eval_with_gradients, finite_difference_grads
 from cpdistill.tensor import Tensor
 
 
@@ -340,3 +340,73 @@ def test_save_load_clone_round_trip(tmp_path):
     assert np.array_equal(model.predict_batch(windows, z), twin.predict_batch(windows, z))
     twin.params["head.w"].tensor.data += 1.0
     assert not np.array_equal(model.predict_batch(windows, z), twin.predict_batch(windows, z))
+
+
+def naive_route(x, layer, k):
+    """Per-expert reference dispatch: one gather, one probability column and
+    one full-size scatter per expert, summed in expert order."""
+    logits = x @ layer.gate_w.tensor + layer.gate_b.tensor
+    p_full = T.softmax(logits, axis=-1)
+    sel = T.topk_indices(logits.data, k)
+    mask = np.zeros(logits.shape)
+    np.put_along_axis(mask, sel, 1.0, axis=1)
+    p_masked = p_full * Tensor(mask)
+    p_norm = p_masked / T.tsum(p_masked, axis=1, keepdims=True)
+    out = None
+    for i in range(layer.n_experts):
+        rows = np.nonzero(mask[:, i])[0]
+        if rows.size == 0:
+            continue
+        y = layer.experts[i](T.take_rows(x, rows)) * T.take_rows(p_norm[:, i : i + 1], rows)
+        scattered = T.put_rows(y, rows, x.shape[0])
+        out = scattered if out is None else out + scattered
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_moe_route_matches_per_expert_reference(k):
+    cfg = tiny_config(hidden_dim=8, experts_per_layer=4, top_k=k)
+    model = StudentModel(cfg, seed=47)
+    layer = model.layers[0]
+    layer.gate_b.tensor.data[2] = -50.0  # expert 2 receives no token
+    for i in (0, 1):  # old experts frozen, as in phase 1 of a later stage
+        for g in layer.experts[i].groups:
+            g.set_trainable(False)
+    rng = np.random.default_rng(5)
+    x = T.Tensor(rng.normal(size=(24, 8)))
+    weights = T.Tensor(rng.normal(size=(24, 8)))
+    got, stats = moe_route(x, layer, k)
+    assert stats.loads[2] == 0.0 and stats.loads.sum() == 24 * k
+    assert np.allclose(got.data, naive_route(x, layer, k).data, rtol=0.0, atol=1e-14)
+
+    xg = ParamGroup("x", Tensor(x.data))
+    groups = [xg] + [g for g in model.groups() if g.name.startswith("blocks.0.")]
+    _, fast = eval_with_gradients(lambda: T.tsum(moe_route(xg.tensor, layer, k)[0] * weights), groups)
+    _, slow = eval_with_gradients(lambda: T.tsum(naive_route(xg.tensor, layer, k) * weights), groups)
+    assert set(fast) == set(slow)
+    assert "blocks.0.experts.0.w1" not in fast and "blocks.0.experts.3.w1" in fast
+    for name in fast:
+        assert np.allclose(fast[name], slow[name], rtol=1e-12, atol=1e-15), name
+    assert np.all(fast["blocks.0.experts.2.w1"] == 0.0)
+
+
+def test_model_gradients_match_finite_differences_top2():
+    # top-2 of 3 experts: every token appears twice in the dispatch, so the
+    # combine scatter and the gather's backward take the repeated-index path
+    cfg = tiny_config(experts_per_layer=3, top_k=2)
+    model = StudentModel(cfg, seed=53)
+    windows, z = probe(cfg, batch=3, seed=14)
+    targets = np.random.default_rng(15).normal(size=(3, cfg.action_dim))
+
+    def build():
+        actions, aux, _ = model.forward(windows, z)
+        diff = actions - Tensor(targets)
+        return T.tmean(T.tsum(diff * diff, axis=1)) + Tensor(0.01) * aux
+
+    groups = [g for g in model.groups() if not g.name.startswith("taskenc.")]
+    _, grads = eval_with_gradients(build, groups)
+    fd = finite_difference_grads(build, groups)
+    for name, f in fd.items():
+        a = grads[name]
+        err = np.abs(a - f) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
+        assert err.max() < 1e-4, f"{name}: worst gradient mismatch {err.max()}"

@@ -73,6 +73,7 @@ def test_two_layer_net_matches_finite_differences():
         ("div", lambda p, c: T.tsum(c / (p * p + T.Tensor(1.0)))),
         ("softmax", lambda p, c: T.tsum(T.softmax(p, axis=-1) * c)),
         ("mean", lambda p, c: T.tsum(T.tmean(p * c, axis=0, keepdims=True) ** 2)),
+        ("overlapping slices", lambda p, c: T.tsum(p[0:2] * c[1:3]) + T.tsum(p[1:3] ** 2)),
     ],
 )
 def test_kernel_gradients(name, build_fn):
@@ -126,6 +127,25 @@ def test_gather_scatter_concat_slice_gradients():
         return T.tsum(stacked[:, 2:5] * w2)
 
     check_grads(build, [table])
+
+
+def test_gather_scatter_unique_index_gradients():
+    # no repeated row: gather and scatter assign directly; two gathers from
+    # one table, so one of them adds to a gradient the other started
+    rng = np.random.default_rng(10)
+    table = param("table", rng.normal(size=(5, 3)))
+    w = T.Tensor(rng.normal(size=(4, 3)))
+    w2 = T.Tensor(rng.normal(size=(6, 3)))
+    c = T.Tensor(rng.normal(size=(2, 3)))
+
+    def build():
+        rows = T.take_rows(table.tensor, np.array([3, 0, 4, 1]))
+        spread = T.put_rows(rows * w, np.array([5, 0, 2, 1]), 6)
+        return T.tsum(spread * w2) + T.tsum(T.take_rows(table.tensor, np.array([4, 2])) * c)
+
+    check_grads(build, [table])
+    out = T.put_rows(T.Tensor(np.ones((2, 3))), np.array([2, 0]), 4)
+    assert out.data[:, 0].tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_transpose_reshape_gradients():
