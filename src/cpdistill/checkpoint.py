@@ -83,9 +83,12 @@ def load_groups(path) -> tuple[list[ParamGroup], dict]:
 
 
 def save_optimizer(path, opt: AdamW) -> None:
-    """Moments are stored as pseudo-groups named <group>.m / <group>.v."""
+    """Moments are stored as pseudo-groups named <group>.m / <group>.v, in
+    the order of the optimizer's groups, not in the order the groups first
+    took a step."""
+    rank = {g.name: i for i, g in enumerate(opt.groups)}
     moment_groups = []
-    for name in opt.m:
+    for name in sorted(opt.m, key=lambda n: rank.get(n, len(rank))):
         moment_groups.append(ParamGroup(name + ".m", Tensor(opt.m[name]), trainable=False))
         moment_groups.append(ParamGroup(name + ".v", Tensor(opt.v[name]), trainable=False))
     save_groups(path, moment_groups, extra={"optimizer": opt.state_dict()})

@@ -23,12 +23,12 @@ import sys
 from pathlib import Path
 
 from .config import ProtocolConfig, load_config
-from .continual import ProtocolRunner, rollout_success_batch, run_protocol, write_audits
+from .continual import ProtocolRunner, run_protocol, write_audits
 from .metrics import MetricsMatrix
 from .model import StudentModel
 from .replay import select_replay
 from .report import load_contexts, render_report, summary_table
-from .teachers import TeacherPolicy, collect, read_trajectories, write_trajectories
+from .teachers import read_trajectories, write_trajectories
 
 __all__ = ["main"]
 
@@ -84,23 +84,16 @@ def _load(args) -> ProtocolConfig:
 
 
 def _cmd_teach(args) -> int:
+    """Write each task's teacher demonstrations, the ones `distill` trains on."""
     config = _load(args)
     runner = ProtocolRunner(config, args.seed)
     out = args.out or Path("teach")
-    stages = runner.stream
-    if args.stage is not None:
-        stages = [stages[args.stage - 1]]
+    stages = range(1, len(runner.stream) + 1) if args.stage is None else [args.stage]
     written = []
-    for stage_specs in stages:
-        for i, spec in enumerate(stage_specs):
-            trajs = collect(
-                spec,
-                TeacherPolicy(spec),
-                config.episodes_per_task,
-                base_seed=args.seed * 100003 + i,
-                workers=config.workers,
-                noise_std=config.teacher_noise,
-            )
+    for k in stages:
+        first = sum(len(specs) for specs in runner.stream[: k - 1])
+        for i, spec in enumerate(runner.stream[k - 1]):
+            trajs = runner.teacher_data(spec, k, first + i, config.episodes_per_task)
             path = out / f"{spec.task_id}.jsonl"
             write_trajectories(path, trajs)
             written.append(path)
@@ -119,6 +112,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """Score a stage checkpoint on the episodes the run evaluated it on."""
     config = _load(args)
     runner = ProtocolRunner(config, args.seed)
     stage_dir = Path(args.out) / f"stage_{args.stage}"
@@ -128,13 +122,7 @@ def _cmd_eval(args) -> int:
     specs = [s for stage in runner.stream[: args.stage] for s in stage]
     print("task_id\tsuccess_rate")
     for idx, spec in enumerate(specs):
-        rate = rollout_success_batch(
-            model,
-            spec,
-            contexts[spec.task_id],
-            config.eval_episodes,
-            seed=args.seed * 7919 + idx,
-        )
+        rate = runner.success_rate(model, spec, contexts[spec.task_id], args.stage, idx)
         print(f"{spec.task_id}\t{rate}")
     return 0
 

@@ -36,7 +36,7 @@ from .model import (
 )
 from .optim import AdamW, ParamGroup
 from .replay import ReplayBuffer, SelectionAudit, select_replay, update_buffer
-from .taskctx import ContextProvider, ContrastiveBatch, infonce_loss, traj_stats
+from .taskctx import ContextProvider, ContrastiveBatch, InputError, infonce_loss, traj_stats
 from .teachers import (
     TaskSpec,
     TeacherPolicy,
@@ -64,11 +64,9 @@ __all__ = [
     "rollout_success_batch",
     "ProtocolRunner",
     "run_protocol",
+    "write_audits",
+    "read_audits",
 ]
-
-
-class InputError(ValueError):
-    """Training batch is unusable."""
 
 
 class StateError(ValueError):
@@ -399,25 +397,17 @@ class ProtocolRunner:
         self.stage_data = {}
         for spec in specs:
             ordinal = len(self._seen) - len(specs) + specs.index(spec)
-            trajs = collect(
-                spec,
-                TeacherPolicy(spec),
-                stage.episodes_per_task,
-                base_seed=_int_seed(self.seed, k, _COLLECT, ordinal),
-                workers=self.config.workers,
-                noise_std=self.config.teacher_noise,
-            )
+            trajs = self.teacher_data(spec, k, ordinal, stage.episodes_per_task)
             self.stage_data[spec.task_id] = trajs
             self.provider.set_support(spec.task_id, trajs[: self.config.support_episodes])
 
         # 2. expansion + phase-1 masks
         if traits.expand_and_mask and k >= 2:
-            new_groups = expand_experts(
+            expand_experts(
                 self.model, self.config.expansion_config(), seed=_int_seed(self.seed, k, _EXPAND)
             )
             self.counters.expansions += 1
-            for g in new_groups:
-                self.optimizer.add_group(g)
+            self.optimizer.groups = self.model.groups()
             apply_mask_schedule(self.model, k, 1)
 
         # 3. training pool: current distill data plus the whole replay buffer
@@ -462,13 +452,7 @@ class ProtocolRunner:
                     spec.task_id,
                 )
             else:
-                rate = rollout_success_batch(
-                    self.model,
-                    spec,
-                    self.provider.get(spec.task_id),
-                    self.config.eval_episodes,
-                    seed=_int_seed(self.seed, k, _EVAL, idx),
-                )
+                rate = self.success_rate(self.model, spec, self.provider.get(spec.task_id), k, idx)
             self.matrix.record(k, spec.task_id, rate)
             rates[spec.task_id] = rate
 
@@ -508,6 +492,33 @@ class ProtocolRunner:
         if self.out_dir is not None:
             self._write_stage(k)
         return rates
+
+    # ------------------------------------------------------------------
+    # the seeded collection and evaluation that `cpdistill teach` and
+    # `cpdistill eval` repeat
+
+    def teacher_data(
+        self, spec: TaskSpec, k: int, ordinal: int, episodes: int
+    ) -> list[Trajectory]:
+        """Stage k's teacher demonstrations of ``spec``, the task at position
+        ``ordinal`` (from 0) of the whole stream."""
+        return collect(
+            spec,
+            TeacherPolicy(spec),
+            episodes,
+            base_seed=_int_seed(self.seed, k, _COLLECT, ordinal),
+            workers=self.config.workers,
+            noise_std=self.config.teacher_noise,
+        )
+
+    def success_rate(
+        self, model: StudentModel, spec: TaskSpec, z: np.ndarray, k: int, idx: int
+    ) -> float:
+        """Success of ``model`` on ``spec``, the idx-th task seen (from 0), on
+        the episodes stage k evaluates it on."""
+        return rollout_success_batch(
+            model, spec, z, self.config.eval_episodes, seed=_int_seed(self.seed, k, _EVAL, idx)
+        )
 
     # ------------------------------------------------------------------
 
@@ -678,6 +689,7 @@ class ProtocolRunner:
         self.buffer.total_distill_seen = state["total_distill_seen"]
         self.global_step = state["global_step"]
         self.counters = CallCounters(**state["counters"])
+        self.audits = read_audits(d / "audits.tsv")
         self._seen = [s for stage in self.stream[:k] for s in stage]
         if self.traits.ewc and (d / "fisher").exists():
             groups, _ = load_groups(d / "fisher")
@@ -699,6 +711,24 @@ def write_audits(path, audits: list[SelectionAudit]) -> None:
             f"{repr(float(a.log_det))}\t{';'.join(a.chosen_ids)}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_audits(path) -> list[SelectionAudit]:
+    """The audits `write_audits` wrote, field for field."""
+    audits = []
+    for line in Path(path).read_text().strip().split("\n")[1:]:
+        stage, task_id, strategy, seed, log_det, chosen = line.split("\t")
+        audits.append(
+            SelectionAudit(
+                stage=int(stage),
+                task_id=task_id,
+                strategy=strategy,
+                seed=int(seed),
+                chosen_ids=chosen.split(";") if chosen else [],
+                log_det=float(log_det),
+            )
+        )
+    return audits
 
 
 def run_protocol(

@@ -151,7 +151,9 @@ class MoELayer:
         return not self.experts[i].w1.trainable
 
 
-def moe_route(x: Tensor, layer: MoELayer, k: int) -> tuple[Tensor, GatingStats]:
+def moe_route(
+    x: Tensor, layer: MoELayer, k: int, rows: np.ndarray | None = None
+) -> tuple[Tensor, GatingStats]:
     """Route a (tokens, hidden) batch through the layer's experts.
 
     Gate probabilities are a softmax over all experts; the top-k by logit
@@ -164,7 +166,18 @@ def moe_route(x: Tensor, layer: MoELayer, k: int) -> tuple[Tensor, GatingStats]:
     slice, and the outputs, weighted by their probabilities, are scattered
     back in one pass. With top-1 every token appears once, so the gather and
     the scatter assign rows directly; with top-k > 1 a token's k outputs are
-    summed in expert order. Experts that receive no token are skipped.
+    summed in expert order. Experts the gate selects for no token are
+    skipped.
+
+    ``rows`` restricts the dispatch to those token rows, and the output then
+    has one row per entry of ``rows``, in its order. The gate still runs on
+    every token, so the returned statistics (loads, importances, token
+    count) and the aux loss built from them are those of the whole batch.
+    Every expert the gate selected for at least one token still runs, on an
+    empty slice when none of its tokens is among ``rows``: its groups then
+    get a zero gradient, as in a dispatch of every token whose unread rows
+    carry zero gradient, and not ``None``, which `AdamW.step` would skip
+    instead of taking its momentum step.
     """
     n = layer.n_experts
     if k > n:
@@ -177,25 +190,28 @@ def moe_route(x: Tensor, layer: MoELayer, k: int) -> tuple[Tensor, GatingStats]:
     p_masked = p_full * Tensor(mask)
     denom = T.tsum(p_masked, axis=1, keepdims=True)
     p_norm = p_masked / denom
+    loads = mask.sum(axis=0)
 
     m_tokens = x.shape[0]
-    pair_expert = sel.reshape(-1)
+    picked = sel if rows is None else sel[rows]
+    pair_expert = picked.reshape(-1)
     order = np.argsort(pair_expert, kind="stable")
-    tokens = order // k
+    slots = order // k  # output row of each dispatched pair
+    tokens = slots if rows is None else np.asarray(rows, dtype=np.intp)[slots]
     experts = pair_expert[order]
     counts = np.bincount(pair_expert, minlength=n)
     xs = T.take_rows(x, tokens)
     weights = T.take_rows(T.reshape(p_norm, (m_tokens * n, 1)), tokens * n + experts)
     outs = []
     lo = 0
-    for i in np.nonzero(counts)[0]:
+    for i in np.nonzero(loads)[0]:
         hi = lo + int(counts[i])
         outs.append(layer.experts[i](xs[lo:hi]))
         lo = hi
     ys = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
-    out = T.put_rows(ys * weights, tokens, m_tokens)
+    out = T.put_rows(ys * weights, slots, picked.shape[0])
     stats = GatingStats(
-        loads=mask.sum(axis=0),
+        loads=loads,
         importance=T.tsum(p_full, axis=0),
         tokens=m_tokens,
     )
@@ -293,6 +309,9 @@ class StudentModel:
     # forward paths
 
     def groups(self) -> list[ParamGroup]:
+        """Every group in the constructor's layout order, also after
+        `expand_experts`, so a checkpoint's bytes do not depend on how the
+        model came to its expert counts."""
         return list(self.params.values())
 
     def embed_input(self, windows: np.ndarray, z: np.ndarray) -> Tensor:
@@ -340,26 +359,38 @@ class StudentModel:
         return merged @ p["wo"].tensor + p["bo"].tensor
 
     def block_forward(self, h: Tensor, l: int) -> tuple[Tensor, GatingStats]:
+        """One pre-norm block over (B, t, hidden) tokens.
+
+        The final block returns only each window's last token, (B, hidden):
+        its gate and routing statistics cover every token, but its experts
+        run only on the rows the action head reads (see `moe_route`)."""
         pre = f"blocks.{l}"
         ln1 = T.layer_norm(h, self.params[f"{pre}.ln1.g"].tensor, self.params[f"{pre}.ln1.b"].tensor)
         h2 = self._attention(ln1, l) + h
         ln2 = T.layer_norm(h2, self.params[f"{pre}.ln2.g"].tensor, self.params[f"{pre}.ln2.b"].tensor)
         b, t, d = h2.shape
         flat = T.reshape(ln2, (b * t, d))
+        if l == self.config.depth - 1:
+            last = np.arange(b) * t + (t - 1)
+            routed, stats = moe_route(flat, self.layers[l], self.config.top_k, rows=last)
+            return routed + h2[:, -1, :], stats
         routed, stats = moe_route(flat, self.layers[l], self.config.top_k)
         return T.reshape(routed, (b, t, d)) + h2, stats
 
     def forward(
         self, windows: np.ndarray, z: np.ndarray
     ) -> tuple[Tensor, Tensor, list[GatingStats]]:
-        """Returns (action means (B, act), mean aux loss, per-layer stats)."""
+        """Returns (action means (B, act), mean aux loss, per-layer stats).
+
+        The action head reads the last token of the final block, which
+        dispatches only that token to its experts; training, evaluation,
+        the `kl` snapshot and the EWC Fisher all run this one path."""
         h = self.embed_input(windows, z)
         all_stats: list[GatingStats] = []
         for l in range(self.config.depth):
             h, stats = self.block_forward(h, l)
             all_stats.append(stats)
-        last = h[:, -1, :]
-        actions = last @ self.params["head.w"].tensor + self.params["head.b"].tensor
+        actions = h @ self.params["head.w"].tensor + self.params["head.b"].tensor
         if self.config.use_aux:
             terms = [aux_loss(s) for s in all_stats]
             total = terms[0]
@@ -473,7 +504,16 @@ def expand_experts(
             [layer.gate_b.tensor.data, np.full(cfg.experts_added, cfg.cold_start_bias)]
         )
         model.expert_counts[l] = layer.n_experts
+    # the constructor's layout: a stable sort keeps each block's experts in
+    # index order and everything else where the constructor put it
+    model.params = dict(sorted(model.params.items(), key=lambda kv: _layout_rank(kv[0])))
     return new_groups
+
+
+def _layout_rank(name: str) -> int:
+    if name.startswith("blocks."):
+        return 1 + int(name.split(".")[1])
+    return 0 if name.startswith(("embed.", "pos")) else 1 << 30
 
 
 # ---------------------------------------------------------------------------

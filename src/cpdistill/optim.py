@@ -116,9 +116,6 @@ class AdamW:
         for g in self.groups:
             g.tensor.grad = None
 
-    def add_group(self, group: ParamGroup) -> None:
-        self.groups.append(group)
-
     def _state_for(self, name: str, shape: tuple[int, ...], dtype) -> None:
         if name not in self.m:
             self.m[name] = np.zeros(shape, dtype=dtype)

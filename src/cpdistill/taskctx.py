@@ -31,7 +31,7 @@ __all__ = [
 
 
 class InputError(ValueError):
-    """Trajectory input unusable (e.g. empty)."""
+    """Input data unusable: an empty trajectory, dataset or batch."""
 
 
 class BatchError(ValueError):

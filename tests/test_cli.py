@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from cpdistill.cli import main
-from cpdistill.config import ProtocolConfig, save_config
+from cpdistill.config import ProtocolConfig, load_config, save_config
+from cpdistill.continual import ProtocolRunner
 from cpdistill.metrics import MetricsMatrix
 from cpdistill.report import load_contexts, render_report
-from cpdistill.teachers import read_trajectories
+from cpdistill.teachers import read_trajectories, write_trajectories
 
 
 @pytest.fixture()
@@ -83,7 +84,26 @@ def test_teach_then_select_roundtrip(config_path, tmp_path, capsys):
     assert len(audit[1].split("\t")[5].split(";")) == 2
 
 
+def test_teach_writes_the_training_data(config_path, tmp_path, capsys):
+    teach_dir = tmp_path / "teach"
+    assert main(["teach", "--config", str(config_path), "--seed", "4",
+                 "--out", str(teach_dir), "--stage", "2"]) == 0
+    capsys.readouterr()
+    runner = ProtocolRunner(load_config(config_path), 4)
+    for k in (1, 2):
+        runner.run_stage(runner.stage_config(k), runner.stream[k - 1])
+    assert sorted(p.stem for p in teach_dir.glob("*.jsonl")) == sorted(runner.stage_data)
+    for task_id, trajs in runner.stage_data.items():
+        write_trajectories(tmp_path / "collected.jsonl", trajs)
+        expected = (tmp_path / "collected.jsonl").read_bytes()
+        assert (teach_dir / f"{task_id}.jsonl").read_bytes() == expected, task_id
+
+
 def test_eval_and_report(config_path, tmp_path, capsys):
+    # enough episodes for the barely trained student's chance successes to tell
+    # one set of evaluation seeds from another
+    save_config(config_path, ProtocolConfig.from_dict(
+        {**load_config(config_path).to_dict(), "eval_episodes": 64}))
     run_dir = tmp_path / "run"
     assert main(["distill", "--config", str(config_path), "--seed", "11",
                  "--out", str(run_dir)]) == 0
@@ -94,6 +114,12 @@ def test_eval_and_report(config_path, tmp_path, capsys):
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "task_id\tsuccess_rate"
     assert len(out) == 5  # header + 4 tasks
+    # the checkpoint, scored on the run's own evaluation episodes, gives the
+    # run's stage-2 row
+    run_matrix = MetricsMatrix.load(run_dir / "metrics.tsv")
+    for line in out[1:]:
+        task_id, rate = line.split("\t")
+        assert float(rate) == run_matrix.value(2, task_id)
 
     assert main(["report", "--out", str(run_dir)]) == 0
     printed = capsys.readouterr().out

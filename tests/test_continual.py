@@ -353,6 +353,15 @@ def test_resume_matches_straight_run(tmp_path):
     for k in straight.stages():
         assert straight.rows[k].tobytes() == matrix.rows[k].tobytes()
 
+    def files(d):
+        return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+    for k in (1, 2, 3):
+        full, part = files(tmp_path / "full" / f"stage_{k}"), files(tmp_path / "part" / f"stage_{k}")
+        assert sorted(full) == sorted(part)
+        for name, blob in full.items():
+            assert part[name] == blob, f"stage_{k}/{name}"
+
 
 def test_kl_step_runs_the_student_once(monkeypatch):
     from types import SimpleNamespace
@@ -435,3 +444,11 @@ def test_kl_snapshot_only_before_a_later_stage(monkeypatch):
     cfg = tiny_protocol(strategy="kl", epochs_stage1=1, epochs_later=1, replay_m=0)
     _, runner = run_protocol(cfg, seed=13)
     assert len(clones) == 1 and runner.prev_model is not None
+
+
+def test_one_input_error_class():
+    from cpdistill import continual, taskctx
+
+    assert continual.InputError is taskctx.InputError
+    with pytest.raises(taskctx.InputError):
+        distill_loss(small_model(), np.zeros((0, 5, 4)), np.zeros((0, 16)), np.zeros((0, 2)), 0.0)

@@ -90,29 +90,35 @@ def test_residual_identity_with_zero_sublayers():
     windows, z = probe(cfg, batch=2)
     h = model.embed_input(windows, z)
     out = h
-    for l in range(cfg.depth):
+    for l in range(cfg.depth - 1):
         out, _ = model.block_forward(out, l)
-    assert np.array_equal(out.data, h.data)
+        assert np.array_equal(out.data, h.data)
+    # the final block returns the last token only, the one the head reads
+    last, _ = model.block_forward(out, cfg.depth - 1)
+    assert np.array_equal(last.data, h.data[:, -1, :])
 
 
 def test_causality_perturbation():
-    cfg = tiny_config(depth=2, seq_len=6)
+    # the blocks before the final one return every token; the final block
+    # returns the last token, which sees the whole window
+    cfg = tiny_config(depth=3, seq_len=6)
     model = StudentModel(cfg, seed=5)
     windows, z = probe(cfg, batch=1, t=6, seed=9)
 
     def tokens_out(w):
         h = model.embed_input(w, z)
-        for l in range(cfg.depth):
+        for l in range(cfg.depth - 1):
             h, _ = model.block_forward(h, l)
-        return h.data
+        return h.data, model.block_forward(h, cfg.depth - 1)[0].data
 
-    base = tokens_out(windows)
+    base, base_last = tokens_out(windows)
     for t_perturb in (2, 4):
         bumped = windows.copy()
         bumped[0, t_perturb, :] += 0.5
-        changed = tokens_out(bumped)
+        changed, changed_last = tokens_out(bumped)
         assert np.array_equal(changed[0, :t_perturb], base[0, :t_perturb])
         assert not np.allclose(changed[0, t_perturb:], base[0, t_perturb:])
+        assert not np.allclose(changed_last, base_last)
 
 
 def test_single_token_attention_is_value_projection():
@@ -410,3 +416,89 @@ def test_model_gradients_match_finite_differences_top2():
         a = grads[name]
         err = np.abs(a - f) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
         assert err.max() < 1e-4, f"{name}: worst gradient mismatch {err.max()}"
+
+
+def final_block_inputs(model, windows, z):
+    """Every block but the last, then the last block up to its MoE input:
+    (earlier stats, residual stream h2, flat (B*t, hidden) gate input)."""
+    cfg = model.config
+    h = model.embed_input(windows, z)
+    stats = []
+    for l in range(cfg.depth - 1):
+        h, s = model.block_forward(h, l)
+        stats.append(s)
+    pre = f"blocks.{cfg.depth - 1}"
+    ln1 = T.layer_norm(h, model.params[f"{pre}.ln1.g"].tensor, model.params[f"{pre}.ln1.b"].tensor)
+    h2 = model._attention(ln1, cfg.depth - 1) + h
+    ln2 = T.layer_norm(h2, model.params[f"{pre}.ln2.g"].tensor, model.params[f"{pre}.ln2.b"].tensor)
+    return stats, h2, T.reshape(ln2, (-1, cfg.hidden_dim))
+
+
+def full_window_forward(model, windows, z):
+    """The forward pass before last-token dispatch: the final block routes
+    every token through its experts, and the head reads the last token of
+    the resulting (B, t, hidden) stream."""
+    stats, h2, flat = final_block_inputs(model, windows, z)
+    routed, s = moe_route(flat, model.layers[-1], model.config.top_k)
+    h = T.reshape(routed, h2.shape) + h2
+    stats.append(s)
+    actions = h[:, -1, :] @ model.params["head.w"].tensor + model.params["head.b"].tensor
+    aux = sum((aux_loss(s) for s in stats[1:]), aux_loss(stats[0])) * (1.0 / len(stats))
+    return actions, aux, stats
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_last_token_dispatch_matches_full_window_reference(k):
+    cfg = tiny_config(depth=2, experts_per_layer=4, top_k=k, seq_len=5)
+    model = StudentModel(cfg, seed=59)
+    windows, z = probe(cfg, batch=6, seed=21)
+    targets = np.random.default_rng(22).normal(size=(6, cfg.action_dim))
+    layer = model.layers[-1]
+    # final-layer expert 3 gets no token; expert 2 gets exactly one token,
+    # and that token is not the last of its window, so no row the head
+    # reads passes through it
+    layer.gate_b.tensor.data[3] = -50.0
+    layer.gate_w.tensor.data[:, 2] = 0.0
+    with T.no_grad():
+        x = final_block_inputs(model, windows, z)[2].data
+    logits = x @ layer.gate_w.tensor.data + layer.gate_b.tensor.data
+    others = np.sort(np.delete(logits, 2, axis=1), axis=1)[:, -k]
+    first, second = np.argsort(others)[:2]
+    assert first % cfg.seq_len != cfg.seq_len - 1
+    layer.gate_b.tensor.data[2] = 0.5 * (others[first] + others[second])
+
+    def loss_of(forward):
+        actions, aux, _ = forward(windows, z)
+        diff = actions - Tensor(targets)
+        return T.tmean(T.tsum(diff * diff, axis=1)) + aux * 0.01
+
+    def grads_of(forward):
+        for g in model.groups():
+            g.tensor.grad = None
+        loss_of(forward).backward()
+        return {g.name: g.tensor.grad for g in model.groups()}
+
+    with T.no_grad():
+        got, got_aux, got_stats = model.forward(windows, z)
+        ref, ref_aux, ref_stats = full_window_forward(model, windows, z)
+    assert got.shape == ref.shape == (6, cfg.action_dim)
+    assert np.max(np.abs(got.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+    assert got_aux.item() == ref_aux.item()
+    for mine, theirs, loads in zip(got_stats, ref_stats, model.routing_loads(windows, z)):
+        assert np.array_equal(mine.loads, theirs.loads) and np.array_equal(loads, theirs.loads)
+        assert np.array_equal(mine.importance.data, theirs.importance.data)
+    assert ref_stats[-1].loads[2] == 1 and ref_stats[-1].loads[3] == 0
+
+    fast = grads_of(model.forward)
+    slow = grads_of(lambda w, c: full_window_forward(model, w, c))
+    assert {n for n, g in fast.items() if g is None} == {n for n, g in slow.items() if g is None}
+    assert fast["blocks.1.experts.3.w1"] is None  # no token: skipped
+    for name in ("w1", "b1", "w2", "b2"):
+        g = fast[f"blocks.1.experts.2.{name}"]
+        assert g is not None and g.shape == slow[f"blocks.1.experts.2.{name}"].shape
+        assert np.all(g == 0.0) and np.all(slow[f"blocks.1.experts.2.{name}"] == 0.0)
+    for name, g in slow.items():
+        if g is None:
+            continue
+        scale = np.max(np.abs(g))
+        assert np.max(np.abs(fast[name] - g)) <= 1e-12 * scale, name
