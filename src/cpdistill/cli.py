@@ -119,11 +119,11 @@ def _cmd_eval(args) -> int:
     model, header = StudentModel.load(stage_dir / "model")
     ids, vecs = load_contexts(stage_dir / "contexts.tsv")
     contexts = dict(zip(ids, vecs))
-    specs = [s for stage in runner.stream[: args.stage] for s in stage]
+    # the rates a fresh-model run carries over for earlier tasks
+    runner.matrix = MetricsMatrix.load(stage_dir / "metrics.tsv")
     print("task_id\tsuccess_rate")
-    for idx, spec in enumerate(specs):
-        rate = runner.success_rate(model, spec, contexts[spec.task_id], args.stage, idx)
-        print(f"{spec.task_id}\t{rate}")
+    for task_id, rate in runner.stage_rates(model, contexts.__getitem__, args.stage).items():
+        print(f"{task_id}\t{rate}")
     return 0
 
 

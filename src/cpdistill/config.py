@@ -18,7 +18,6 @@ Top-level keys
     replay_m            trajectories selected per task per stage
     replay_strategy     dpp | ffs | random
     budget_fraction     replay buffer cap as a fraction of distill data seen
-    workers             parallel teacher-collection workers
     teacher_noise       optional Gaussian action-noise std for teachers
     infonce_tau / infonce_weight / infonce_trajs
                         contrastive objective temperature, loss weight and
@@ -32,7 +31,7 @@ Top-level keys
                         stats_chunks, encoder_hidden)
     suite               SuiteConfig fields (obs_dim, action_dim, horizon,
                         success_threshold, start_range, goal_ring,
-                        goal_radius, gamma, teacher_noise, max_tasks, seq_len)
+                        goal_radius, max_tasks, seq_len)
     lambda_schedule     start / step_decrement / floor
     expansion           experts_added / init_noise_std / cold_start_bias /
                         gate_col_noise_std
@@ -80,7 +79,6 @@ class ProtocolConfig:
     replay_m: int = 8
     replay_strategy: str = "dpp"
     budget_fraction: float = 0.10
-    workers: int = 1
     teacher_noise: float = 0.0
     infonce_tau: float = 0.1
     infonce_weight: float = 1.0

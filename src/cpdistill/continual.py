@@ -42,10 +42,9 @@ from .teachers import (
     TeacherPolicy,
     Trajectory,
     collect,
-    initial_state,
     make_task_stream,
     read_trajectories,
-    task_target,
+    rollout,
     write_trajectories,
 )
 from .tensor import Tensor
@@ -306,20 +305,16 @@ def rollout_success_batch(
     n_episodes: int,
     seed: int,
 ) -> float:
+    """Fraction of the episodes seeded seed + i that ``model``, acting on
+    its last ``seq_len`` states under context ``z``, ends on target."""
     seq_len = model.config.seq_len
-    states = np.stack([initial_state(spec, seed + i) for i in range(n_episodes)])
-    history = [states.copy()]
     zb = np.broadcast_to(z, (n_episodes, z.size))
-    for t in range(spec.horizon):
-        lo = max(0, t + 1 - seq_len)
-        window = np.stack(history[lo : t + 1], axis=1)
-        actions = np.clip(model.predict_batch(window, zb), -1.0, 1.0)
-        pos = states[:, :2] + actions @ spec.gain.T
-        states = np.concatenate([pos, states[:, 2:4]], axis=1)
-        history.append(states.copy())
-    targets = np.stack([task_target(spec, s[2:4]) for s in states])
-    dists = np.linalg.norm(states[:, :2] - targets, axis=1)
-    return float((dists < spec.success_threshold).mean())
+    *_, success = rollout(
+        spec,
+        lambda history: model.predict_batch(history[:, -seq_len:], zb),
+        range(seed, seed + n_episodes),
+    )
+    return float(success.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +439,9 @@ class ProtocolRunner:
         self.provider.refresh(current_ids)
 
         # 5. evaluate everything seen so far
-        rates: dict[str, float] = {}
-        for idx, spec in enumerate(self._seen):
-            if traits.fresh_model and spec.task_id not in current_ids:
-                rate = self.matrix.value(
-                    self.matrix.intro_stage[self.matrix.task_ids.index(spec.task_id)],
-                    spec.task_id,
-                )
-            else:
-                rate = self.success_rate(self.model, spec, self.provider.get(spec.task_id), k, idx)
-            self.matrix.record(k, spec.task_id, rate)
-            rates[spec.task_id] = rate
+        rates = self.stage_rates(self.model, self.provider.get, k)
+        for task_id, rate in rates.items():
+            self.matrix.record(k, task_id, rate)
 
         # 6. replay selection from this stage's data (after training)
         if traits.replay:
@@ -507,18 +494,29 @@ class ProtocolRunner:
             TeacherPolicy(spec),
             episodes,
             base_seed=_int_seed(self.seed, k, _COLLECT, ordinal),
-            workers=self.config.workers,
             noise_std=self.config.teacher_noise,
         )
 
-    def success_rate(
-        self, model: StudentModel, spec: TaskSpec, z: np.ndarray, k: int, idx: int
-    ) -> float:
-        """Success of ``model`` on ``spec``, the idx-th task seen (from 0), on
-        the episodes stage k evaluates it on."""
-        return rollout_success_batch(
-            model, spec, z, self.config.eval_episodes, seed=_int_seed(self.seed, k, _EVAL, idx)
-        )
+    def stage_rates(self, model: StudentModel, context, k: int) -> dict[str, float]:
+        """Stage k's row of the metrics matrix: the success of ``model``, the
+        stage-k student, on every task seen by stage k, under the context
+        ``context(task_id)`` returns, each on the episodes stage k evaluates
+        it on. A fresh-model strategy's student is trained on the stage's own
+        tasks only, so an earlier task keeps the rate ``self.matrix`` holds
+        from the stage that introduced it."""
+        current = {s.task_id for s in self.stream[k - 1]}
+        rates = {}
+        for idx, spec in enumerate(s for stage in self.stream[:k] for s in stage):
+            tid = spec.task_id
+            if self.traits.fresh_model and tid not in current:
+                intro = self.matrix.intro_stage[self.matrix.task_ids.index(tid)]
+                rates[tid] = self.matrix.value(intro, tid)
+            else:
+                rates[tid] = rollout_success_batch(
+                    model, spec, context(tid), self.config.eval_episodes,
+                    seed=_int_seed(self.seed, k, _EVAL, idx),
+                )
+        return rates
 
     # ------------------------------------------------------------------
 

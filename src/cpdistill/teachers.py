@@ -10,19 +10,24 @@ while all families share the same move-toward-a-point primitive.
 
 Teachers are deterministic proportional controllers toward the current
 waypoint; an optional Gaussian action-noise knob models imperfect teachers.
+
+The environment is written once, over batches: `task_target`, `step` and
+`expert_action` take arrays with any number of leading episode axes, and
+`rollout` steps a batch of seeded episodes in lockstep, calling the policy
+once per step on every episode's state history. Teacher collection
+(`collect`) and student evaluation (`continual.rollout_success_batch`) are
+both a `rollout`; each episode's result depends only on its own seed.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "ConfigError",
-    "EpisodeError",
     "SuiteConfig",
     "TaskSpec",
     "Trajectory",
@@ -33,9 +38,8 @@ __all__ = [
     "task_target",
     "step",
     "expert_action",
-    "rollout_episode",
+    "rollout",
     "collect",
-    "evaluate_policy",
     "write_trajectories",
     "read_trajectories",
 ]
@@ -43,10 +47,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Suite/stream configuration is unsatisfiable."""
-
-
-class EpisodeError(RuntimeError):
-    """An episode failed twice during collection."""
 
 
 def _rot(deg: float) -> np.ndarray:
@@ -78,8 +78,6 @@ class SuiteConfig:
     start_range: float = 0.35       # start positions uniform in [-r, r]^2
     goal_ring: tuple[float, float] = (0.30, 0.55)
     goal_radius: float = 0.12       # per-episode jitter around the task center
-    gamma: float = 0.99
-    teacher_noise: float = 0.0
     max_tasks: int = 50
     seq_len: int = 20               # horizon must be a multiple of this
 
@@ -105,22 +103,7 @@ class TaskSpec:
     action_dim: int = 2
     horizon: int = 40
     success_threshold: float = 0.05
-    reward_id: str = "neg_distance"
-    gamma: float = 0.99
     start_range: float = 0.35
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        for key in ("goal_center", "gain", "offset", "detour"):
-            out[key] = np.asarray(out[key]).tolist()
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        d = dict(d)
-        for key in ("goal_center", "gain", "offset", "detour"):
-            d[key] = np.asarray(d[key], dtype=np.float64)
-        return cls(**d)
 
 
 @dataclass
@@ -135,13 +118,13 @@ class Trajectory:
 
 @dataclass
 class TeacherPolicy:
-    """Proportional controller toward the current waypoint."""
+    """Proportional controller toward the current waypoint, for one state or
+    a batch of states."""
 
     spec: TaskSpec
-    kappa: float | None = None
 
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        return expert_action(self.spec, state, kappa=self.kappa)
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        return expert_action(self.spec, states)
 
 
 def make_task_stream(
@@ -179,7 +162,6 @@ def make_task_stream(
                 action_dim=suite.action_dim,
                 horizon=suite.horizon,
                 success_threshold=suite.success_threshold,
-                gamma=suite.gamma,
                 start_range=suite.start_range,
             )
         )
@@ -187,21 +169,23 @@ def make_task_stream(
 
 
 # ---------------------------------------------------------------------------
-# dynamics
+# dynamics, over any number of leading (episode) axes
+
+_MIRROR = np.array([-1.0, 1.0])
 
 
-def task_target(spec: TaskSpec, goal: np.ndarray) -> np.ndarray:
-    """The point the task actually rewards, given the observed goal."""
+def task_target(spec: TaskSpec, goals: np.ndarray) -> np.ndarray:
+    """The point the task actually rewards, given each observed goal."""
     if spec.target_mode == "direct":
-        return goal
+        return goals
     if spec.target_mode == "offset":
-        return goal + spec.offset
+        return goals + spec.offset
     if spec.target_mode == "flip":
-        return -goal
+        return -goals
     if spec.target_mode == "half":
-        return 0.5 * goal
+        return 0.5 * goals
     if spec.target_mode == "mirror":
-        return np.array([-goal[0], goal[1]])
+        return goals * _MIRROR
     raise ConfigError(f"unknown target mode {spec.target_mode}")
 
 
@@ -218,76 +202,80 @@ def initial_state(spec: TaskSpec, seed: int) -> np.ndarray:
 
 
 def step(
-    spec: TaskSpec, state: np.ndarray, action: np.ndarray, t: int | None = None
-) -> tuple[np.ndarray, float, bool]:
-    """Point-mass dynamics: pos' = pos + gain @ clip(action)."""
-    a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    pos, goal = state[:2], state[2:4]
-    new_pos = pos + spec.gain @ a
-    reward = -float(np.linalg.norm(new_pos - task_target(spec, goal)))
-    done = t is not None and t + 1 >= spec.horizon
-    return np.concatenate([new_pos, goal]), reward, done
+    spec: TaskSpec, states: np.ndarray, actions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point-mass dynamics: pos' = pos + gain @ clip(action), rewarded with
+    minus the distance from pos' to the task target.
+
+    The gain product is a stacked matvec and the distance the square root of
+    a stacked dot, the arithmetic of one state at a time, so a batch of
+    episodes gets the bits each episode would get alone."""
+    a = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
+    goals = states[..., 2:4]
+    pos = states[..., :2] + (spec.gain @ a[..., None])[..., 0]
+    d = pos - task_target(spec, goals)
+    rewards = -np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    return np.concatenate([pos, goals], axis=-1), rewards
 
 
 _ALIGN_EPS = 0.04
 
 
-def _current_waypoint(spec: TaskSpec, pos: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    target = task_target(spec, goal)
-    if not spec.detour.any():
-        return target
-    w0 = target - spec.detour
-    axis = 0 if spec.detour[0] else 1  # detour axis; the other must align
-    cross = 1 - axis
-    aligned = abs(pos[cross] - target[cross]) < _ALIGN_EPS
-    past = pos[axis] >= w0[axis] - _ALIGN_EPS
-    return target if (aligned and past) else w0
+def expert_action(spec: TaskSpec, states: np.ndarray, kappa: float | None = None) -> np.ndarray:
+    """clip(kappa * (waypoint - position)); memoryless and deterministic.
 
-
-def expert_action(spec: TaskSpec, state: np.ndarray, kappa: float | None = None) -> np.ndarray:
-    """clip(kappa * (waypoint - position)); memoryless and deterministic."""
+    A detour task first heads for the target shifted back along the detour
+    axis, and turns to the target once aligned with it across that axis and
+    past the shifted point."""
     k = spec.kappa if kappa is None else kappa
-    pos, goal = np.asarray(state)[:2], np.asarray(state)[2:4]
-    return np.clip(k * (_current_waypoint(spec, pos, goal) - pos), -1.0, 1.0)
+    states = np.asarray(states)
+    pos, goals = states[..., :2], states[..., 2:4]
+    waypoint = task_target(spec, goals)
+    if spec.detour.any():
+        axis = 0 if spec.detour[0] else 1  # detour axis; the other must align
+        cross = 1 - axis
+        w0 = waypoint - spec.detour
+        aligned = np.abs(pos[..., cross] - waypoint[..., cross]) < _ALIGN_EPS
+        past = pos[..., axis] >= w0[..., axis] - _ALIGN_EPS
+        waypoint = np.where((aligned & past)[..., None], waypoint, w0)
+    return np.clip(k * (waypoint - pos), -1.0, 1.0)
 
 
-def rollout_episode(
-    spec: TaskSpec, policy, seed: int, noise_std: float = 0.0
-) -> Trajectory:
-    """One seeded episode under a state-history policy."""
-    state = initial_state(spec, seed)
-    noise_rng = np.random.default_rng((seed, 0xA0)) if noise_std > 0 else None
-    states = [state]
-    actions, rewards = [], []
-    for t in range(spec.horizon):
-        action = np.asarray(policy(np.asarray(states)), dtype=np.float64)
-        if noise_rng is not None:
-            action = action + noise_rng.normal(0.0, noise_std, spec.action_dim)
-        action = np.clip(action, -1.0, 1.0)
-        state, reward, _ = step(spec, state, action, t)
-        states.append(state)
-        actions.append(action)
-        rewards.append(reward)
-    terminal = states[-1]
-    dist = np.linalg.norm(terminal[:2] - task_target(spec, terminal[2:4]))
-    return Trajectory(
-        task_id=spec.task_id,
-        seed=seed,
-        states=np.asarray(states),
-        actions=np.asarray(actions),
-        rewards=np.asarray(rewards),
-        success=bool(dist < spec.success_threshold),
-    )
+def rollout(
+    spec: TaskSpec, policy, seeds, noise_std: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step one episode per seed, all in lockstep.
 
-
-class _LastState:
-    """Adapts a per-state controller to the state-history policy interface."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, history: np.ndarray) -> np.ndarray:
-        return self.fn(history[-1])
+    Episode i starts at ``initial_state(spec, seeds[i])`` and draws its
+    action noise from its own generator, ``default_rng((seeds[i], 0xA0))``,
+    so it does not depend on the other episodes. ``policy`` is called once
+    per step with the (n, t+1, obs_dim) state history of all n episodes and
+    returns their (n, action_dim) actions. Returns states (n, H+1, obs_dim),
+    clipped noisy actions (n, H, action_dim), rewards (n, H) and whether
+    each episode ended within the success threshold of its target."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("a rollout needs at least one episode")
+    n, horizon = len(seeds), spec.horizon
+    states = np.empty((n, horizon + 1, spec.obs_dim))
+    states[:, 0] = [initial_state(spec, seed) for seed in seeds]
+    actions = np.empty((n, horizon, spec.action_dim))
+    rewards = np.empty((n, horizon))
+    noise = None
+    if noise_std > 0:
+        noise = np.stack([
+            np.random.default_rng((seed, 0xA0)).normal(0.0, noise_std, (horizon, spec.action_dim))
+            for seed in seeds
+        ])
+    for t in range(horizon):
+        a = np.asarray(policy(states[:, : t + 1]), dtype=np.float64)
+        if noise is not None:
+            a = a + noise[:, t]
+        actions[:, t] = np.clip(a, -1.0, 1.0)
+        states[:, t + 1], rewards[:, t] = step(spec, states[:, t], actions[:, t])
+    # the last reward is minus the final distance to the target
+    success = -rewards[:, -1] < spec.success_threshold
+    return states, actions, rewards, success
 
 
 def collect(
@@ -295,49 +283,18 @@ def collect(
     teacher,
     n_episodes: int,
     base_seed: int,
-    workers: int = 1,
     noise_std: float = 0.0,
 ) -> list[Trajectory]:
-    """Teacher rollouts with per-episode seeds base_seed + i; output order is
-    by episode index whatever the worker count."""
-    if n_episodes < 1:
-        raise ConfigError("collect needs n_episodes >= 1")
-    policy = _LastState(teacher) if not _wants_history(teacher) else teacher
-
-    def run(i: int) -> Trajectory:
-        seed = base_seed + i
-        try:
-            return rollout_episode(spec, policy, seed, noise_std)
-        except Exception:
-            try:
-                return rollout_episode(spec, policy, seed, noise_std)
-            except Exception as err:  # pragma: no cover - defensive
-                raise EpisodeError(f"episode seed={seed} failed twice: {err}") from err
-
-    if workers <= 1:
-        return [run(i) for i in range(n_episodes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n_episodes)))
-
-
-def _wants_history(policy) -> bool:
-    return isinstance(policy, _LastState) or getattr(policy, "takes_history", False)
-
-
-def evaluate_policy(policy, spec: TaskSpec, n_episodes: int, seed: int) -> float:
-    """Fraction of seeded episodes ending within the success threshold.
-
-    ``policy`` maps a (t+1, obs_dim) state history to an action; wrap
-    per-state controllers with ``TeacherPolicy`` or pass them directly
-    (they are adapted automatically).
-    """
-    if n_episodes < 1:
-        raise ConfigError("evaluate_policy needs n_episodes >= 1")
-    wrapped = policy if _wants_history(policy) else _LastState(policy)
-    hits = 0
-    for i in range(n_episodes):
-        hits += rollout_episode(spec, wrapped, seed + i).success
-    return hits / n_episodes
+    """Rollouts of ``teacher``, a controller from (n, obs_dim) states to
+    actions, with per-episode seeds base_seed + i, in episode order."""
+    seeds = range(base_seed, base_seed + n_episodes)
+    states, actions, rewards, success = rollout(
+        spec, lambda history: teacher(history[:, -1]), seeds, noise_std
+    )
+    return [
+        Trajectory(spec.task_id, seed, states[i], actions[i], rewards[i], bool(success[i]))
+        for i, seed in enumerate(seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------

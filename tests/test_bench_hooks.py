@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpdistill import continual, model, tensor
+from cpdistill import continual, model, teachers, tensor
 from cpdistill.config import ProtocolConfig
-from cpdistill.teachers import make_task_stream
+from cpdistill.teachers import Trajectory, make_task_stream
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,6 +66,9 @@ def test_call_forms_used_by_the_benchmark():
     checks, refbatch = bench_module("checks"), bench_module("refbatch")
     assert checks.kl_penalty is continual.kl_penalty
     assert checks.rollout_success_batch is continual.rollout_success_batch
+    assert checks.collect is teachers.collect
+    assert checks.expert_action is teachers.expert_action
+    assert checks.TeacherPolicy is teachers.TeacherPolicy
     assert refbatch.distill_loss is continual.distill_loss
     assert refbatch.moe_route is model.moe_route
     runner = object()
@@ -76,6 +79,7 @@ def test_call_forms_used_by_the_benchmark():
     assert binds(continual.kl_penalty, "new", "old", "windows", "contexts", 1.0)
     assert binds(continual.distill_loss, "model", "windows", "z", "targets", 0.01)
     assert binds(continual.run_protocol, "config", 3, out_dir="run")
+    assert binds(teachers.collect, "spec", "teacher", 4, base_seed=7)
     assert binds(model.moe_route, "x", "layer", 1)
     assert binds(model.StudentModel.block_forward, "self", "h", 0)
     assert binds(model.StudentModel.predict_batch, "self", "windows", "z")
@@ -104,3 +108,23 @@ def test_train_step_calls_the_loss_hooks_through_module_globals(monkeypatch):
     spec = make_task_stream(runner.suite, 1, 1, seed=0)[0][0]
     rate = continual.rollout_success_batch(runner.model, spec, ctx[0], 2, 5)
     assert 0.0 <= rate <= 1.0
+
+
+def test_teacher_calls_made_by_the_checks():
+    spec = make_task_stream(teachers.SuiteConfig(), 1, 1, seed=0)[0][0]
+    trajs = teachers.collect(spec, teachers.TeacherPolicy(spec), 3, base_seed=2**32 + 5)
+    assert len(trajs) == 3 and all(isinstance(t, Trajectory) for t in trajs)
+    for traj in trajs:
+        assert traj.states.shape == (spec.horizon + 1, 4)
+        assert traj.actions.shape == (spec.horizon, 2)
+    assert teachers.expert_action(spec, trajs[0].states[0]).shape == (2,)
+
+
+def test_teacher_data_reaches_collect_through_module_globals(monkeypatch):
+    cfg = ProtocolConfig(n_stages=1, tasks_per_stage=1, episodes_per_task=10, replay_m=0)
+    runner = continual.ProtocolRunner(cfg, seed=1)
+    calls = []
+    real = continual.collect
+    monkeypatch.setattr(continual, "collect", lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+    trajs = runner.teacher_data(runner.stream[0][0], 1, 0, 3)
+    assert calls == [3] and len(trajs) == 3

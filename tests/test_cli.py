@@ -143,6 +143,24 @@ def test_eval_and_report(config_path, tmp_path, capsys):
     assert matrix.task_ids == ids
 
 
+def test_eval_of_an_independent_run_prints_its_metrics_row(config_path, tmp_path, capsys):
+    # a fresh student per stage: earlier tasks carry their introduction rates
+    save_config(config_path, ProtocolConfig.from_dict(
+        {**load_config(config_path).to_dict(), "strategy": "independent"}))
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(config_path), "--seed", "11",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path), "--seed", "11",
+                 "--out", str(run_dir), "--stage", "2"]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    run_matrix = MetricsMatrix.load(run_dir / "metrics.tsv")
+    rows = dict(line.split("\t") for line in out[1:])
+    assert list(rows) == run_matrix.task_ids
+    for task_id, rate in rows.items():
+        assert float(rate) == run_matrix.value(2, task_id)
+
+
 def test_report_is_read_only(config_path, tmp_path, capsys):
     run_dir = tmp_path / "run"
     main(["distill", "--config", str(config_path), "--seed", "2", "--out", str(run_dir)])

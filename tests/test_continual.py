@@ -212,6 +212,16 @@ def test_stage_config_validation():
     assert StageConfig(index=1, task_ids=["a"]).epochs == 2
 
 
+def test_config_rejects_removed_knobs():
+    # teachers take their noise from the top-level `teacher_noise`
+    assert tiny_protocol(suite={"horizon": 40}).suite_config().horizon == 40
+    for key in ("teacher_noise", "gamma"):
+        with pytest.raises(TypeError, match=key):
+            tiny_protocol(suite={key: 0.1}).suite_config()
+    with pytest.raises(ValueError, match="workers"):
+        ProtocolConfig.from_dict({**tiny_protocol().to_dict(), "workers": 4})
+
+
 def test_epochs_zero_debug_mode():
     cfg = tiny_protocol(n_stages=1, epochs_stage1=0)
     runner = ProtocolRunner(cfg, seed=3)
