@@ -16,7 +16,7 @@ Top-level keys
                         optimizer settings (AdamW)
     max_steps           optional cap on optimizer steps per stage
     replay_m            trajectories selected per task per stage
-    replay_strategy     dpp | ffs | random
+    replay_strategy     dpp | ffs | random, or dpp_exact (the exact oracle)
     budget_fraction     replay buffer cap as a fraction of distill data seen
     teacher_noise       optional Gaussian action-noise std for teachers
     infonce_tau / infonce_weight / infonce_trajs
@@ -28,7 +28,7 @@ Top-level keys
     model               ModelConfig fields (hidden_dim, depth,
                         experts_per_layer, mlp_multiplier, top_k, seq_len,
                         task_embed_dim, n_heads, causal, use_aux,
-                        stats_chunks, encoder_hidden)
+                        stats_chunks, encoder_hidden, dtype)
     suite               SuiteConfig fields (obs_dim, action_dim, horizon,
                         success_threshold, start_range, goal_ring,
                         goal_radius, max_tasks, seq_len)
@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .model import ExpansionConfig, ModelConfig
+from .replay import STRATEGIES as REPLAY_STRATEGIES
 from .teachers import SuiteConfig
 
 __all__ = ["LambdaSchedule", "ProtocolConfig", "load_config", "save_config", "desk_config"]
@@ -94,6 +95,10 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
+        if self.replay_strategy not in REPLAY_STRATEGIES:
+            raise ValueError(
+                f"unknown replay_strategy {self.replay_strategy!r}; one of {REPLAY_STRATEGIES}"
+            )
         if self.replay_m > self.budget_fraction * self.episodes_per_task:
             raise ValueError(
                 f"replay_m={self.replay_m} exceeds the {self.budget_fraction:.0%} "

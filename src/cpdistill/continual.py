@@ -286,11 +286,10 @@ def kl_penalty(
     rounding. Without ``actions`` the student is run here."""
     if prev_model is None:
         raise StateError("KL penalty needs the previous stage's snapshot")
-    with T.no_grad():
-        mu_old, _, _ = prev_model.forward(windows, contexts)
+    mu_old = prev_model.predict_batch(windows, contexts)
     if actions is None:
         actions, _, _ = model.forward(windows, contexts)
-    diff = actions - Tensor(mu_old.data)
+    diff = actions - Tensor(mu_old)
     return T.tmean(T.tsum(diff * diff, axis=1)) * (1.0 / (2.0 * sigma0**2))
 
 

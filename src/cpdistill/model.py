@@ -4,6 +4,9 @@ sublayers are sparse mixture-of-experts layers.
 Tokens are per-timestep observations concatenated with the task context
 vector. Each block is h' = MSA(LN(h)) + h followed by h'' = MoE(LN(h')) + h'
 under a causal mask; the action mean is a linear head on the final token.
+`forward` also returns every layer's gating statistics over every token,
+for the losses and the routing dump; `predict_batch`, for inference, runs
+the final block from the last position only.
 Experts can be added at stage boundaries with noisy-copy weights and a
 strongly negative gate bias so routing is initially undisturbed, and a
 two-phase trainability schedule controls which parameter groups move during
@@ -272,9 +275,10 @@ class StudentModel:
             n_exp = self.expert_counts[l]
             gate_w = self._add(f"{pre}.gate.w", rng.normal(0.0, 0.02, (d, n_exp)))
             gate_b = self._add(f"{pre}.gate.b", np.zeros(n_exp))
+            width = d * config.mlp_multiplier
             experts = [
-                self._make_expert(l, i, rng.normal(0.0, 0.02, (d, d * config.mlp_multiplier)),
-                                  rng.normal(0.0, 0.02, (d * config.mlp_multiplier, d)))
+                self._make_expert(l, i, rng.normal(0.0, 0.02, (d, width)), np.zeros(width),
+                                  rng.normal(0.0, 0.02, (width, d)), np.zeros(d))
                 for i in range(n_exp)
             ]
             self.layers.append(MoELayer(gate_w, gate_b, experts))
@@ -296,13 +300,16 @@ class StudentModel:
         self.params[name] = group
         return group
 
-    def _make_expert(self, layer: int, idx: int, w1: np.ndarray, w2: np.ndarray) -> Expert:
+    def _make_expert(
+        self, layer: int, idx: int,
+        w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+    ) -> Expert:
         pre = f"blocks.{layer}.experts.{idx}"
         return Expert(
             self._add(f"{pre}.w1", w1),
-            self._add(f"{pre}.b1", np.zeros(w1.shape[1])),
+            self._add(f"{pre}.b1", b1),
             self._add(f"{pre}.w2", w2),
-            self._add(f"{pre}.b2", np.zeros(w2.shape[1])),
+            self._add(f"{pre}.b2", b2),
         )
 
     # ------------------------------------------------------------------
@@ -335,42 +342,74 @@ class StudentModel:
         tokens = Tensor(x) @ self.params["embed.w"].tensor + self.params["embed.b"].tensor
         return tokens + self.params["pos"].tensor[0:t]
 
-    def _attention(self, x: Tensor, l: int) -> Tensor:
+    def _attention(self, x: Tensor, l: int, last: bool = False) -> Tensor:
+        """Self-attention over (B, t, hidden) tokens, causal unless the
+        config says otherwise.
+
+        With ``last`` the output is the final position's alone, (B, hidden).
+        Keys and values still cover every token, and no mask applies, since
+        the last position sees every key. The queries are the last two
+        positions, and the second-to-last row is dropped: numpy sends a
+        one-row stacked matmul to GEMV, which sums in another order than the
+        GEMM of a full pass, while with two rows the last row's bits equal
+        the full pass's."""
         cfg = self.config
         b, t, d = x.shape
         h, dh = cfg.n_heads, d // cfg.n_heads
         p = self._attn[l]
+        tq = min(t, 2) if last else t
 
-        def heads(v: Tensor) -> Tensor:
-            return T.transpose(T.reshape(v, (b, t, h, dh)), (0, 2, 1, 3))
+        def heads(v: Tensor, n: int) -> Tensor:
+            return T.transpose(T.reshape(v, (b, n, h, dh)), (0, 2, 1, 3))
 
-        q = heads(x @ p["wq"].tensor + p["bq"].tensor)
-        k = heads(x @ p["wk"].tensor + p["bk"].tensor)
-        v = heads(x @ p["wv"].tensor + p["bv"].tensor)
+        xq = x[:, t - tq:, :] if last else x
+        q = heads(xq @ p["wq"].tensor + p["bq"].tensor, tq)
+        k = heads(x @ p["wk"].tensor + p["bk"].tensor, t)
+        v = heads(x @ p["wv"].tensor + p["bv"].tensor, t)
         scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        if cfg.causal and t > 1:
+        if cfg.causal and t > 1 and not last:
             if t not in self._masks:
                 self._masks[t] = np.triu(
                     np.full((t, t), -1e9, dtype=cfg.np_dtype), k=1
                 )
             scores = scores + Tensor(self._masks[t])
-        attn = T.softmax(scores, axis=-1)
-        merged = T.reshape(T.transpose(attn @ v, (0, 2, 1, 3)), (b, t, d))
+        out = T.softmax(scores, axis=-1) @ v
+        if last:
+            merged = T.reshape(out[:, :, -1, :], (b, d))
+        else:
+            merged = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
         return merged @ p["wo"].tensor + p["bo"].tensor
 
-    def block_forward(self, h: Tensor, l: int) -> tuple[Tensor, GatingStats]:
+    def block_forward(
+        self, h: Tensor, l: int, last_only: bool = False
+    ) -> tuple[Tensor, GatingStats | None]:
         """One pre-norm block over (B, t, hidden) tokens.
 
-        The final block returns only each window's last token, (B, hidden):
-        its gate and routing statistics cover every token, but its experts
-        run only on the rows the action head reads (see `moe_route`)."""
+        The final block returns only each window's last token, (B, hidden).
+        By default its gate and routing statistics cover every token, and
+        its experts run only on the rows the action head reads (see
+        `moe_route`). With ``last_only`` (inference) it runs from the last
+        position alone: attention answers that position only (see
+        `_attention`), ``wo``, the residual, ``ln2``, the gate and the
+        experts see B rows, and it returns no statistics. Earlier blocks
+        ignore ``last_only``, since the final block's keys and values read
+        every token."""
         pre = f"blocks.{l}"
-        ln1 = T.layer_norm(h, self.params[f"{pre}.ln1.g"].tensor, self.params[f"{pre}.ln1.b"].tensor)
+
+        def norm(x: Tensor, name: str) -> Tensor:
+            return T.layer_norm(x, self.params[f"{pre}.{name}.g"].tensor,
+                                self.params[f"{pre}.{name}.b"].tensor)
+
+        ln1 = norm(h, "ln1")
+        final = l == self.config.depth - 1
+        if final and last_only:
+            h2 = self._attention(ln1, l, last=True) + h[:, -1, :]
+            routed, _ = moe_route(norm(h2, "ln2"), self.layers[l], self.config.top_k)
+            return routed + h2, None
         h2 = self._attention(ln1, l) + h
-        ln2 = T.layer_norm(h2, self.params[f"{pre}.ln2.g"].tensor, self.params[f"{pre}.ln2.b"].tensor)
         b, t, d = h2.shape
-        flat = T.reshape(ln2, (b * t, d))
-        if l == self.config.depth - 1:
+        flat = T.reshape(norm(h2, "ln2"), (b * t, d))
+        if final:
             last = np.arange(b) * t + (t - 1)
             routed, stats = moe_route(flat, self.layers[l], self.config.top_k, rows=last)
             return routed + h2[:, -1, :], stats
@@ -383,8 +422,10 @@ class StudentModel:
         """Returns (action means (B, act), mean aux loss, per-layer stats).
 
         The action head reads the last token of the final block, which
-        dispatches only that token to its experts; training, evaluation,
-        the `kl` snapshot and the EWC Fisher all run this one path."""
+        dispatches only that token to its experts; the gating statistics and
+        the aux loss cover every token. Training and the EWC Fisher read
+        them through the loss, and `routing_loads` reads the per-expert
+        loads. Inference that reads only the actions runs `predict_batch`."""
         h = self.embed_input(windows, z)
         all_stats: list[GatingStats] = []
         for l in range(self.config.depth):
@@ -406,13 +447,19 @@ class StudentModel:
         window = np.asarray(window, dtype=self.config.np_dtype)
         if window.ndim != 2 or window.shape[0] < 1:
             raise SequenceLengthError("predict_action needs a nonempty (t, obs) window")
-        with T.no_grad():
-            actions, _, _ = self.forward(window[None], np.asarray(z)[None])
-        return actions.data[0]
+        return self.predict_batch(window[None], np.asarray(z)[None])[0]
 
     def predict_batch(self, windows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Action means (B, act) with no graph: evaluation rollouts and the
+        `kl` snapshot. The final block runs from the last position only
+        (`block_forward`'s ``last_only``), and no aux loss or final-layer
+        gating statistics are built, since nothing here reads them. The
+        actions equal `forward`'s up to rounding."""
         with T.no_grad():
-            actions, _, _ = self.forward(windows, z)
+            h = self.embed_input(windows, z)
+            for l in range(self.config.depth):
+                h, _ = self.block_forward(h, l, last_only=True)
+            actions = h @ self.params["head.w"].tensor + self.params["head.b"].tensor
         return actions.data
 
     def routing_loads(self, windows: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
@@ -490,18 +537,17 @@ def expand_experts(
                 if cfg.init_noise_std > 0:
                     data = data + rng.normal(0.0, cfg.init_noise_std, data.shape)
                 pieces.append(data)
-            expert = model._make_expert(l, n_old + j, pieces[0], pieces[2])
-            expert.b1.tensor.data = pieces[1]
-            expert.b2.tensor.data = pieces[3]
+            expert = model._make_expert(l, n_old + j, *pieces)
             layer.experts.append(expert)
             new_groups.extend(expert.groups)
-        d = model.config.hidden_dim
+        d, dtype = model.config.hidden_dim, model.config.np_dtype
         cols = rng.normal(0.0, cfg.gate_col_noise_std, (d, cfg.experts_added))
         layer.gate_w.tensor.data = np.concatenate(
-            [layer.gate_w.tensor.data, cols], axis=1
+            [layer.gate_w.tensor.data, cols.astype(dtype)], axis=1
         )
         layer.gate_b.tensor.data = np.concatenate(
-            [layer.gate_b.tensor.data, np.full(cfg.experts_added, cfg.cold_start_bias)]
+            [layer.gate_b.tensor.data,
+             np.full(cfg.experts_added, cfg.cold_start_bias, dtype=dtype)]
         )
         model.expert_counts[l] = layer.n_experts
     # the constructor's layout: a stable sort keeps each block's experts in

@@ -110,6 +110,39 @@ def test_train_step_calls_the_loss_hooks_through_module_globals(monkeypatch):
     assert 0.0 <= rate <= 1.0
 
 
+def test_inference_reaches_predict_batch_through_the_class(monkeypatch):
+    # the tracing wrapper on StudentModel.predict_batch reads windows from args[1]
+    cfg = ProtocolConfig(strategy="kl", n_stages=2, tasks_per_stage=1, episodes_per_task=10, replay_m=0,
+                         model=dict(hidden_dim=8, depth=1, experts_per_layer=2, n_heads=2,
+                                    mlp_multiplier=2, encoder_hidden=4))
+    runner = continual.ProtocolRunner(cfg, seed=1)
+    student, snapshot = runner.model, runner.model.clone()
+    calls = []
+    real = model.StudentModel.predict_batch
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model.StudentModel, "predict_batch", recorder)
+    rng = np.random.default_rng(0)
+    windows = rng.normal(size=(4, 3, runner.model_cfg.obs_dim))
+    contexts = np.ones((4, runner.model_cfg.task_embed_dim)) / 4.0
+    continual.kl_penalty(student, snapshot, windows, contexts, 1.0)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs == {} and len(args) == 3
+    assert args[0] is snapshot and args[1] is windows and args[2] is contexts
+
+    calls.clear()
+    spec = make_task_stream(runner.suite, 1, 1, seed=0)[0][0]
+    continual.rollout_success_batch(student, spec, contexts[0], 2, 5)
+    assert len(calls) == spec.horizon
+    for args, kwargs in calls:
+        assert kwargs == {} and len(args) == 3 and args[0] is student
+        assert args[1].shape[0] == 2 and args[2].shape == (2, contexts.shape[1])
+
+
 def test_teacher_calls_made_by_the_checks():
     spec = make_task_stream(teachers.SuiteConfig(), 1, 1, seed=0)[0][0]
     trajs = teachers.collect(spec, teachers.TeacherPolicy(spec), 3, base_seed=2**32 + 5)

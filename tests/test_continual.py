@@ -222,6 +222,12 @@ def test_config_rejects_removed_knobs():
         ProtocolConfig.from_dict({**tiny_protocol().to_dict(), "workers": 4})
 
 
+def test_config_rejects_unknown_replay_strategy():
+    with pytest.raises(ValueError, match="replay_strategy"):
+        ProtocolConfig(replay_strategy="dppp")
+    assert ProtocolConfig(replay_strategy="ffs").replay_strategy == "ffs"
+
+
 def test_epochs_zero_debug_mode():
     cfg = tiny_protocol(n_stages=1, epochs_stage1=0)
     runner = ProtocolRunner(cfg, seed=3)

@@ -329,6 +329,52 @@ def test_model_gradients_match_finite_differences():
     assert worst < 1e-4, f"worst gradient mismatch {worst} at {worst_name}"
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_predict_batch_matches_forward(depth, k, t):
+    cfg = tiny_config(depth=depth, experts_per_layer=3, top_k=k, seq_len=5)
+    model = StudentModel(cfg, seed=61 + depth)
+    windows, z = probe(cfg, batch=7, t=t, seed=depth + 3 * k + 7 * t)
+    for _ in range(2):
+        with T.no_grad():
+            ref, _, _ = model.forward(windows, z)
+        got = model.predict_batch(windows, z)
+        assert got.shape == ref.shape == (7, cfg.action_dim)
+        assert np.max(np.abs(got - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+        expand_experts(model, ExpansionConfig(cold_start_bias=-1.0), seed=depth)
+
+
+def test_predict_batch_builds_no_aux_loss(monkeypatch):
+    import cpdistill.model as model_module
+
+    cfg = tiny_config(depth=2)
+    model = StudentModel(cfg, seed=67)
+    windows, z = probe(cfg, batch=3, seed=5)
+    calls = []
+    real = model_module.aux_loss
+    monkeypatch.setattr(model_module, "aux_loss", lambda s: calls.append(s) or real(s))
+    model.predict_batch(windows, z)
+    assert calls == []
+    with T.no_grad():
+        model.forward(windows, z)
+    assert len(calls) == cfg.depth
+
+
+def test_float32_survives_expansion_load_and_clone(tmp_path):
+    cfg = tiny_config(depth=2, dtype="float32")
+    model = StudentModel(cfg, seed=71)
+    expand_experts(model, ExpansionConfig(), seed=2)
+    model.save(tmp_path / "m", stage=2)
+    restored, _ = StudentModel.load(tmp_path / "m")
+    windows, z = probe(cfg, batch=4, seed=9)
+    for m in (model, restored, model.clone()):
+        assert {g.tensor.dtype for g in m.groups()} == {np.dtype(np.float32)}
+        actions, aux, _ = m.forward(windows, z)
+        assert actions.dtype == aux.dtype == np.float32
+        assert m.predict_batch(windows, z).dtype == np.float32
+
+
 def test_save_load_clone_round_trip(tmp_path):
     cfg = tiny_config(depth=2)
     model = StudentModel(cfg, seed=43)
