@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import StateError
 from .optim import AdamW, ParamGroup
 from .tensor import Tensor
 
@@ -30,7 +31,7 @@ def _le_dtype(dtype: np.dtype) -> str:
         return "<f8"
     if kind == np.float32:
         return "<f4"
-    raise ValueError(f"unsupported checkpoint dtype {dtype}")
+    raise StateError(f"unsupported checkpoint dtype {dtype}")
 
 
 def save_groups(path, groups: list[ParamGroup], extra: dict | None = None) -> None:
@@ -65,7 +66,7 @@ def load_groups(path) -> tuple[list[ParamGroup], dict]:
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("format") != _FORMAT:
-        raise ValueError(f"unrecognized checkpoint format in {path}")
+        raise StateError(f"unrecognized checkpoint format in {path}")
     blob = (path / "params.bin").read_bytes()
     groups = []
     for entry in manifest["groups"]:

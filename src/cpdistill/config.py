@@ -16,7 +16,7 @@ Top-level keys
                         optimizer settings (AdamW)
     max_steps           optional cap on optimizer steps per stage
     replay_m            trajectories selected per task per stage
-    replay_strategy     dpp | ffs | random, or dpp_exact (the exact oracle)
+    replay_strategy     dpp | ffs | random
     budget_fraction     replay buffer cap as a fraction of distill data seen
     teacher_noise       optional Gaussian action-noise std for teachers
     infonce_tau / infonce_weight / infonce_trajs
@@ -27,14 +27,19 @@ Top-level keys
     kl_sigma0           shared Gaussian std in the KL baseline penalty
     model               ModelConfig fields (hidden_dim, depth,
                         experts_per_layer, mlp_multiplier, top_k, seq_len,
-                        task_embed_dim, n_heads, causal, use_aux,
-                        stats_chunks, encoder_hidden, dtype)
+                        task_embed_dim, n_heads, stats_chunks,
+                        encoder_hidden, dtype)
     suite               SuiteConfig fields (obs_dim, action_dim, horizon,
                         success_threshold, start_range, goal_ring,
-                        goal_radius, max_tasks, seq_len)
+                        goal_radius, max_tasks); the horizon must be a
+                        multiple of the model's seq_len
     lambda_schedule     start / step_decrement / floor
     expansion           experts_added / init_noise_std / cold_start_bias /
                         gate_col_noise_std
+
+Counts must be positive (replay_m and the epoch counts may be 0, and
+max_steps may be None). A bad value or an unknown key, at the top level or
+in a section, raises ConfigError naming it when the config is built.
 """
 from __future__ import annotations
 
@@ -42,13 +47,42 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .errors import ConfigError
 from .model import ExpansionConfig, ModelConfig
 from .replay import STRATEGIES as REPLAY_STRATEGIES
 from .teachers import SuiteConfig
 
-__all__ = ["LambdaSchedule", "ProtocolConfig", "load_config", "save_config", "desk_config"]
+__all__ = [
+    "LambdaSchedule", "StrategyTraits", "STRATEGY_TRAITS", "STRATEGIES", "ProtocolConfig",
+    "load_config", "save_config", "desk_config",
+]
 
-STRATEGIES = ("ours", "finetune", "ewc", "kl", "replay_only", "expert_only", "independent")
+
+@dataclass(frozen=True)
+class StrategyTraits:
+    expand_and_mask: bool = False
+    replay: bool = False
+    ewc: bool = False
+    kl: bool = False
+    fresh_model: bool = False
+
+
+STRATEGY_TRAITS = {
+    "ours": StrategyTraits(expand_and_mask=True, replay=True),
+    "finetune": StrategyTraits(),
+    "ewc": StrategyTraits(ewc=True),
+    "kl": StrategyTraits(kl=True),
+    "replay_only": StrategyTraits(replay=True),
+    "expert_only": StrategyTraits(expand_and_mask=True),
+    "independent": StrategyTraits(fresh_model=True),
+}
+STRATEGIES = tuple(STRATEGY_TRAITS)
+
+# top-level counts that must be at least 1
+_COUNTS = (
+    "n_stages", "tasks_per_stage", "episodes_per_task", "support_episodes",
+    "eval_episodes", "batch_size", "infonce_trajs", "ewc_batches",
+)
 
 
 @dataclass
@@ -59,7 +93,7 @@ class LambdaSchedule:
 
     def value(self, t: int) -> float:
         if t < 0:
-            raise ValueError("schedule step must be >= 0")
+            raise ConfigError("schedule step must be >= 0")
         return max(self.floor, self.start - t * self.step_decrement)
 
 
@@ -94,51 +128,66 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
         if self.replay_strategy not in REPLAY_STRATEGIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown replay_strategy {self.replay_strategy!r}; one of {REPLAY_STRATEGIES}"
             )
+        for key in _COUNTS:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("epochs_stage1", "epochs_later", "replay_m"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be positive or None, got {self.max_steps}")
         if self.replay_m > self.budget_fraction * self.episodes_per_task:
-            raise ValueError(
+            raise ConfigError(
                 f"replay_m={self.replay_m} exceeds the {self.budget_fraction:.0%} "
                 f"budget for {self.episodes_per_task} episodes per task"
             )
+        suite = dict(self.suite)
+        if "goal_ring" in suite:
+            suite["goal_ring"] = tuple(suite["goal_ring"])
+        self._suite = _build(SuiteConfig, "suite", suite)
+        self._model = _build(ModelConfig, "model", {
+            "obs_dim": self._suite.obs_dim, "action_dim": self._suite.action_dim, **self.model,
+        })
+        self._schedule = _build(LambdaSchedule, "lambda_schedule", self.lambda_schedule)
+        self._expansion = _build(ExpansionConfig, "expansion", self.expansion)
+        if self._suite.horizon % self._model.seq_len:
+            raise ConfigError(
+                f"suite horizon {self._suite.horizon} must be a multiple of the model "
+                f"seq_len {self._model.seq_len} for replay slicing"
+            )
 
     def suite_config(self) -> SuiteConfig:
-        overrides = dict(self.suite)
-        if "goal_ring" in overrides:
-            overrides["goal_ring"] = tuple(overrides["goal_ring"])
-        cfg = SuiteConfig(**overrides)
-        if "seq_len" not in overrides:
-            cfg.seq_len = self.model_config().seq_len
-        return cfg
+        return self._suite
 
     def model_config(self) -> ModelConfig:
-        suite = dict(self.suite)
-        base = dict(
-            obs_dim=suite.get("obs_dim", 4),
-            action_dim=suite.get("action_dim", 2),
-        )
-        base.update(self.model)
-        return ModelConfig(**base)
+        return self._model
 
     def schedule(self) -> LambdaSchedule:
-        return LambdaSchedule(**self.lambda_schedule)
+        return self._schedule
 
     def expansion_config(self) -> ExpansionConfig:
-        return ExpansionConfig(**self.expansion)
+        return self._expansion
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return _build(cls, "config", data)
+
+
+def _build(cls, section: str, values: dict):
+    """``cls(**values)``, with an unknown key reported as a ConfigError
+    naming the section and the key."""
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    return cls(**values)
 
 
 def load_config(path) -> ProtocolConfig:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_groups, load_optimizer, save_groups, save_optimizer
-from .config import ProtocolConfig, save_config
+from .config import STRATEGY_TRAITS, ProtocolConfig, save_config
+from .errors import ConfigError, InputError, StateError
 from .metrics import MetricsMatrix
 from .model import (
     StudentModel,
@@ -36,7 +37,8 @@ from .model import (
 )
 from .optim import AdamW, ParamGroup
 from .replay import ReplayBuffer, SelectionAudit, select_replay, update_buffer
-from .taskctx import ContextProvider, ContrastiveBatch, InputError, infonce_loss, traj_stats
+from .report import load_contexts
+from .taskctx import ContextProvider, ContrastiveBatch, infonce_loss, traj_stats
 from .teachers import (
     TaskSpec,
     TeacherPolicy,
@@ -50,8 +52,6 @@ from .teachers import (
 from .tensor import Tensor
 
 __all__ = [
-    "InputError",
-    "StateError",
     "StageConfig",
     "EWCState",
     "CallCounters",
@@ -68,10 +68,6 @@ __all__ = [
 ]
 
 
-class StateError(ValueError):
-    """Strategy state (EWC anchors, KL snapshot) missing or inconsistent."""
-
-
 @dataclass
 class StageConfig:
     index: int
@@ -83,9 +79,9 @@ class StageConfig:
 
     def __post_init__(self):
         if self.index < 1:
-            raise ValueError("stage index starts at 1")
+            raise ConfigError("stage index starts at 1")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0 (0 is the debug no-train mode)")
+            raise ConfigError("epochs must be >= 0 (0 is the debug no-train mode)")
 
 
 @dataclass
@@ -93,26 +89,6 @@ class EWCState:
     anchors: dict[str, np.ndarray]
     fisher: dict[str, np.ndarray]
     lam: float = 100.0
-
-
-@dataclass(frozen=True)
-class StrategyTraits:
-    expand_and_mask: bool = False
-    replay: bool = False
-    ewc: bool = False
-    kl: bool = False
-    fresh_model: bool = False
-
-
-STRATEGY_TRAITS = {
-    "ours": StrategyTraits(expand_and_mask=True, replay=True),
-    "finetune": StrategyTraits(),
-    "ewc": StrategyTraits(ewc=True),
-    "kl": StrategyTraits(kl=True),
-    "replay_only": StrategyTraits(replay=True),
-    "expert_only": StrategyTraits(expand_and_mask=True),
-    "independent": StrategyTraits(fresh_model=True),
-}
 
 
 @dataclass
@@ -150,11 +126,8 @@ class DistillDataset:
             raise InputError("no trajectories to train on")
         self.task_ids = list(task_ids)
         index = {tid: i for i, tid in enumerate(self.task_ids)}
-        self.uids: list[str] = []
         raw: dict[int, list] = {}
-        for traj in trajs:
-            uid = len(self.uids)
-            self.uids.append(f"{traj.task_id}:{traj.seed}")
+        for uid, traj in enumerate(trajs):
             tix = index[traj.task_id]
             for t in range(len(traj.actions)):
                 length = min(t + 1, seq_len)
@@ -174,11 +147,6 @@ class DistillDataset:
     @property
     def n_samples(self) -> int:
         return sum(b.windows.shape[0] for b in self.buckets.values())
-
-    def batches_per_epoch(self, batch_size: int) -> int:
-        return sum(
-            -(-b.windows.shape[0] // batch_size) for b in self.buckets.values()
-        )
 
     def epoch_batches(self, rng: np.random.Generator, batch_size: int):
         """One full shuffled pass: every sample appears exactly once."""
@@ -225,7 +193,7 @@ def distill_loss(
     actions, aux, _ = model.forward(windows, contexts)
     diff = actions - Tensor(np.asarray(targets, dtype=actions.dtype))
     loss = T.tmean(T.tsum(diff * diff, axis=1))
-    if model.config.use_aux and lam != 0.0:
+    if lam != 0.0:
         loss = loss + aux * lam
     return (loss, actions) if with_actions else loss
 
@@ -328,8 +296,6 @@ class ProtocolRunner:
         self.traits = STRATEGY_TRAITS[config.strategy]
         self.suite = config.suite_config()
         self.model_cfg = config.model_config()
-        if self.suite.horizon % self.model_cfg.seq_len:
-            raise ValueError("suite horizon must be a multiple of the model seq_len")
         self.stream = make_task_stream(
             self.suite, config.n_stages, config.tasks_per_stage, seed
         )
@@ -677,9 +643,8 @@ class ProtocolRunner:
             self.model.encoder, n_chunks=self.model_cfg.stats_chunks
         )
         self.matrix = MetricsMatrix.load(d / "metrics.tsv")
-        for line in (d / "contexts.tsv").read_text().strip().split("\n"):
-            cells = line.split("\t")
-            self.provider.cache[cells[0]] = np.array([float(c) for c in cells[1:]])
+        ids, vecs = load_contexts(d / "contexts.tsv")
+        self.provider.cache.update(zip(ids, vecs))
         self.buffer = ReplayBuffer(budget_fraction=self.config.budget_fraction)
         for traj in read_trajectories(d / "buffer.jsonl"):
             self.buffer.trajs_by_task.setdefault(traj.task_id, []).append(traj)

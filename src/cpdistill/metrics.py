@@ -10,22 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
-    "MetricsError",
-    "UndefinedMetricError",
     "MetricsMatrix",
     "accuracy",
     "bwt",
     "pca_project",
 ]
-
-
-class MetricsError(ValueError):
-    """Metrics matrix is missing required entries."""
-
-
-class UndefinedMetricError(MetricsError):
-    """Metric not defined at this stage (BWT before stage 2)."""
 
 
 @dataclass
@@ -39,7 +31,7 @@ class MetricsMatrix:
 
     def add_task(self, task_id: str, stage: int) -> None:
         if task_id in self.task_ids:
-            raise MetricsError(f"task {task_id} already registered")
+            raise InputError(f"task {task_id} already registered")
         self.task_ids.append(task_id)
         self.intro_stage.append(stage)
         for k in self.rows:
@@ -47,7 +39,7 @@ class MetricsMatrix:
 
     def record(self, stage: int, task_id: str, rate: float) -> None:
         if not 0.0 <= rate <= 1.0:
-            raise MetricsError(f"success rate {rate} outside [0, 1]")
+            raise InputError(f"success rate {rate} outside [0, 1]")
         if stage not in self.rows:
             self.rows[stage] = np.full(len(self.task_ids), np.nan)
         self.rows[stage][self.task_ids.index(task_id)] = rate
@@ -80,7 +72,7 @@ class MetricsMatrix:
         lines = Path(path).read_text().strip().split("\n")
         header = lines[0].split("\t")
         if header[0] != "stage":
-            raise MetricsError(f"not a metrics matrix file: {path}")
+            raise InputError(f"not a metrics matrix file: {path}")
         intro = lines[1].split("\t")
         matrix = cls(task_ids=header[1:], intro_stage=[int(s) for s in intro[1:]])
         for line in lines[2:]:
@@ -92,14 +84,14 @@ class MetricsMatrix:
 def accuracy(matrix: MetricsMatrix, stage: int) -> float:
     """Mean success rate over every task introduced by the stage."""
     if stage not in matrix.rows:
-        raise MetricsError(f"no row recorded for stage {stage}")
+        raise InputError(f"no row recorded for stage {stage}")
     cols = matrix.tasks_through(stage)
     if not cols:
-        raise MetricsError(f"no tasks introduced by stage {stage}")
+        raise InputError(f"no tasks introduced by stage {stage}")
     vals = matrix.rows[stage][cols]
     if np.isnan(vals).any():
         missing = [matrix.task_ids[c] for c in cols if np.isnan(matrix.rows[stage][c])]
-        raise MetricsError(f"stage {stage} row missing entries for {missing}")
+        raise InputError(f"stage {stage} row missing entries for {missing}")
     return float(vals.mean())
 
 
@@ -107,9 +99,9 @@ def bwt(matrix: MetricsMatrix, stage: int) -> float:
     """Mean change on earlier tasks relative to their introduction-stage
     rate; negative means forgetting. Undefined at stage 1."""
     if stage < 2:
-        raise UndefinedMetricError("backward transfer needs at least two stages")
+        raise InputError("backward transfer needs at least two stages")
     if stage not in matrix.rows:
-        raise MetricsError(f"no row recorded for stage {stage}")
+        raise InputError(f"no row recorded for stage {stage}")
     diffs = []
     for j, intro in enumerate(matrix.intro_stage):
         if intro >= stage:
@@ -117,10 +109,10 @@ def bwt(matrix: MetricsMatrix, stage: int) -> float:
         now = matrix.rows[stage][j]
         then = matrix.rows[intro][j] if intro in matrix.rows else np.nan
         if np.isnan(now) or np.isnan(then):
-            raise MetricsError(f"missing entries for task {matrix.task_ids[j]}")
+            raise InputError(f"missing entries for task {matrix.task_ids[j]}")
         diffs.append(now - then)
     if not diffs:
-        raise MetricsError(f"no earlier tasks at stage {stage}")
+        raise InputError(f"no earlier tasks at stage {stage}")
     return float(np.mean(diffs))
 
 
@@ -133,7 +125,7 @@ def pca_project(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
-        raise MetricsError("pca_project needs at least two vectors")
+        raise InputError("pca_project needs at least two vectors")
     centered = x - x.mean(axis=0, keepdims=True)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     total = (svals**2).sum()

@@ -4,9 +4,10 @@ sublayers are sparse mixture-of-experts layers.
 Tokens are per-timestep observations concatenated with the task context
 vector. Each block is h' = MSA(LN(h)) + h followed by h'' = MoE(LN(h')) + h'
 under a causal mask; the action mean is a linear head on the final token.
-`forward` also returns every layer's gating statistics over every token,
-for the losses and the routing dump; `predict_batch`, for inference, runs
-the final block from the last position only.
+`forward` also returns the load-balancing (aux) loss, averaged over layers,
+and every layer's gating statistics over every token, for the losses and
+the routing dump; `predict_batch`, for inference, runs the final block from
+the last position only.
 Experts can be added at stage boundaries with noisy-copy weights and a
 strongly negative gate bias so routing is initially undisturbed, and a
 two-phase trainability schedule controls which parameter groups move during
@@ -14,13 +15,14 @@ each continual-learning stage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_groups, save_groups
+from .errors import ConfigError, DimensionError, InputError, StateError
 from .optim import ParamGroup
 from .taskctx import TaskEncoder
 from .tensor import Tensor
@@ -31,21 +33,11 @@ __all__ = [
     "GatingStats",
     "MoELayer",
     "StudentModel",
-    "SequenceLengthError",
-    "MaskScheduleError",
     "aux_loss",
     "moe_route",
     "expand_experts",
     "apply_mask_schedule",
 ]
-
-
-class SequenceLengthError(ValueError):
-    """Input sequence exceeds the model's window; caller must truncate."""
-
-
-class MaskScheduleError(ValueError):
-    """Requested trainability phase is invalid for the stage."""
 
 
 @dataclass
@@ -60,8 +52,6 @@ class ModelConfig:
     seq_len: int = 20
     task_embed_dim: int = 16
     n_heads: int = 4
-    causal: bool = True
-    use_aux: bool = True
     stats_chunks: int = 8
     encoder_hidden: int = 64
     dtype: str = "float64"
@@ -80,13 +70,13 @@ class ModelConfig:
             self.n_heads,
         )
         if any(d < 1 for d in dims):
-            raise ValueError("all model dimensions must be positive")
+            raise ConfigError("all model dimensions must be positive")
         if self.top_k > self.experts_per_layer:
-            raise ValueError("top_k cannot exceed the number of experts")
+            raise ConfigError("top_k cannot exceed the number of experts")
         if self.hidden_dim % self.n_heads:
-            raise ValueError("hidden_dim must be divisible by n_heads")
+            raise ConfigError("hidden_dim must be divisible by n_heads")
         if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be float64 or float32")
+            raise ConfigError("dtype must be float64 or float32")
 
     @property
     def np_dtype(self):
@@ -106,9 +96,9 @@ class ExpansionConfig:
 
     def __post_init__(self):
         if self.experts_added < 0:
-            raise ValueError("experts_added must be >= 0")
+            raise ConfigError("experts_added must be >= 0")
         if not self.cold_start_bias < 0:
-            raise ValueError("cold_start_bias must be negative")
+            raise ConfigError("cold_start_bias must be negative")
 
 
 @dataclass
@@ -184,7 +174,7 @@ def moe_route(
     """
     n = layer.n_experts
     if k > n:
-        raise T.DimensionError(f"top_k={k} exceeds {n} experts")
+        raise DimensionError(f"top_k={k} exceeds {n} experts")
     logits = x @ layer.gate_w.tensor + layer.gate_b.tensor
     p_full = T.softmax(logits, axis=-1)
     sel = T.topk_indices(logits.data, k)
@@ -327,24 +317,23 @@ class StudentModel:
         z = np.asarray(z, dtype=self.config.np_dtype)
         b, t = windows.shape[0], windows.shape[1]
         if t < 1:
-            raise SequenceLengthError("empty input window")
+            raise InputError("empty input window")
         if t > self.config.seq_len:
-            raise SequenceLengthError(
+            raise InputError(
                 f"window of {t} states exceeds seq_len={self.config.seq_len}; "
                 "caller must truncate to the most recent states"
             )
         zrep = np.broadcast_to(z[:, None, :], (b, t, z.shape[-1]))
         x = np.concatenate([windows, zrep], axis=2)
         if x.shape[-1] != self.config.input_width:
-            raise T.DimensionError(
+            raise DimensionError(
                 f"token width {x.shape[-1]} != obs+embed {self.config.input_width}"
             )
         tokens = Tensor(x) @ self.params["embed.w"].tensor + self.params["embed.b"].tensor
         return tokens + self.params["pos"].tensor[0:t]
 
     def _attention(self, x: Tensor, l: int, last: bool = False) -> Tensor:
-        """Self-attention over (B, t, hidden) tokens, causal unless the
-        config says otherwise.
+        """Causal self-attention over (B, t, hidden) tokens.
 
         With ``last`` the output is the final position's alone, (B, hidden).
         Keys and values still cover every token, and no mask applies, since
@@ -367,7 +356,7 @@ class StudentModel:
         k = heads(x @ p["wk"].tensor + p["bk"].tensor, t)
         v = heads(x @ p["wv"].tensor + p["bv"].tensor, t)
         scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        if cfg.causal and t > 1 and not last:
+        if t > 1 and not last:
             if t not in self._masks:
                 self._masks[t] = np.triu(
                     np.full((t, t), -1e9, dtype=cfg.np_dtype), k=1
@@ -432,22 +421,11 @@ class StudentModel:
             h, stats = self.block_forward(h, l)
             all_stats.append(stats)
         actions = h @ self.params["head.w"].tensor + self.params["head.b"].tensor
-        if self.config.use_aux:
-            terms = [aux_loss(s) for s in all_stats]
-            total = terms[0]
-            for term in terms[1:]:
-                total = total + term
-            aux = total * (1.0 / len(terms))
-        else:
-            aux = Tensor(np.zeros((), dtype=self.config.np_dtype))
-        return actions, aux, all_stats
-
-    def predict_action(self, window: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Action mean for one state window; no squashing, callers clip."""
-        window = np.asarray(window, dtype=self.config.np_dtype)
-        if window.ndim != 2 or window.shape[0] < 1:
-            raise SequenceLengthError("predict_action needs a nonempty (t, obs) window")
-        return self.predict_batch(window[None], np.asarray(z)[None])[0]
+        terms = [aux_loss(s) for s in all_stats]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return actions, total * (1.0 / len(terms)), all_stats
 
     def predict_batch(self, windows: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Action means (B, act) with no graph: evaluation rollouts and the
@@ -484,12 +462,17 @@ class StudentModel:
     @classmethod
     def load(cls, path) -> tuple["StudentModel", dict]:
         groups, header = load_groups(path)
+        unknown = set(header["config"]) - {f.name for f in fields(ModelConfig)}
+        if unknown:
+            raise StateError(
+                f"checkpoint {path} has unknown model config keys: {sorted(unknown)}"
+            )
         config = ModelConfig(**header["config"])
         model = cls(config, seed=0, expert_counts=header["expert_counts"])
         model.new_expert_start = list(header["new_expert_start"])
         by_name = {g.name: g for g in groups}
         if set(by_name) != set(model.params):
-            raise ValueError("checkpoint group names do not match the model layout")
+            raise StateError("checkpoint group names do not match the model layout")
         for name, group in model.params.items():
             group.tensor.data = by_name[name].tensor.data
             group.set_trainable(by_name[name].trainable)
@@ -502,10 +485,6 @@ class StudentModel:
             group.tensor.data = self.params[name].tensor.data.copy()
             group.set_trainable(self.params[name].trainable)
         return twin
-
-    def snapshot(self, names: Sequence[str] | None = None) -> dict[str, np.ndarray]:
-        names = list(names) if names is not None else list(self.params)
-        return {n: self.params[n].tensor.data.copy() for n in names}
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +563,12 @@ def apply_mask_schedule(model: StudentModel, stage: int, phase: int) -> None:
     experts frozen, and phase 2 freezes the gate and unfreezes all experts.
     """
     if stage < 1:
-        raise MaskScheduleError("stage index starts at 1")
+        raise ConfigError("stage index starts at 1")
     if phase not in (1, 2):
-        raise MaskScheduleError(f"unknown phase {phase}")
+        raise ConfigError(f"unknown phase {phase}")
     if stage == 1:
         if phase == 2:
-            raise MaskScheduleError("stage 1 has no phase 2")
+            raise ConfigError("stage 1 has no phase 2")
         for g in model.params.values():
             g.set_trainable(True)
         return

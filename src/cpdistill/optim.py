@@ -1,14 +1,14 @@
-"""Parameter groups, the gradient contract, and AdamW with freeze masks."""
+"""Parameter groups and AdamW with freeze masks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .tensor import NumericError, Tensor
+from .errors import DimensionError
+from .tensor import Tensor
 
-__all__ = ["ParamGroup", "AdamW", "eval_with_gradients", "finite_difference_grads"]
+__all__ = ["ParamGroup", "AdamW"]
 
 
 @dataclass
@@ -30,61 +30,6 @@ class ParamGroup:
     def set_trainable(self, flag: bool) -> None:
         self.trainable = bool(flag)
         self.tensor.requires_grad = self.trainable
-
-
-def eval_with_gradients(
-    computation: Callable[[], Tensor], groups: Iterable[ParamGroup]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Run a scalar-producing computation and collect per-group gradients.
-
-    Returns the loss value and a dict mapping each trainable group's name to
-    the exact gradient of the scalar w.r.t. that group. Frozen groups get no
-    entry. Trainable groups untouched by the computation get zeros.
-    """
-    groups = list(groups)
-    for g in groups:
-        g.tensor.grad = None
-    loss = computation()
-    if loss.data.size != 1:
-        raise NumericError("computation did not reduce to a scalar")
-    if not np.isfinite(loss.data).all():
-        raise NumericError("loss is non-finite")
-    loss.backward()
-    grads: dict[str, np.ndarray] = {}
-    for g in groups:
-        if not g.trainable:
-            continue
-        grads[g.name] = (
-            g.tensor.grad if g.tensor.grad is not None else np.zeros_like(g.tensor.data)
-        )
-    return loss.item(), grads
-
-
-def finite_difference_grads(
-    computation: Callable[[], Tensor],
-    groups: Iterable[ParamGroup],
-    h: float = 1e-5,
-) -> dict[str, np.ndarray]:
-    """Central-difference gradients, the oracle the analytic path is checked
-    against. O(2 * n_params) evaluations; use small probes."""
-    out: dict[str, np.ndarray] = {}
-    for g in groups:
-        if not g.trainable:
-            continue
-        data = g.tensor.data
-        fd = np.zeros_like(data)
-        flat = data.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = computation().item()
-            flat[i] = orig - h
-            down = computation().item()
-            flat[i] = orig
-            fd_flat[i] = (up - down) / (2.0 * h)
-        out[g.name] = fd
-    return out
 
 
 @dataclass
@@ -128,19 +73,19 @@ class AdamW:
                 grown[tuple(slice(0, n) for n in old.shape)] = old
                 store[name] = grown
 
-    def step(self, grads: Mapping[str, np.ndarray] | None = None) -> None:
-        """Apply one update. Gradients come from ``grads`` or, when omitted,
-        from each group tensor's accumulated ``.grad``."""
+    def step(self) -> None:
+        """Apply one update from each trainable group tensor's accumulated
+        ``.grad``; a group with no gradient is skipped."""
         b1, b2 = self.betas
         for g in self.groups:
             if not g.trainable:
                 continue
-            grad = grads.get(g.name) if grads is not None else g.tensor.grad
+            grad = g.tensor.grad
             if grad is None:
                 continue
             p = g.tensor.data
             if grad.shape != p.shape:
-                raise ValueError(
+                raise DimensionError(
                     f"gradient shape {grad.shape} does not match group "
                     f"{g.name} shape {p.shape}"
                 )

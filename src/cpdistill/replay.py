@@ -4,22 +4,19 @@ Each trajectory is featurized as the concatenation of its slice-wise state
 means (slice length = the model's sequence length), features are centered
 and scaled to unit average norm, and the Gram matrix L = V V^T feeds the
 selector. Selection strategies: greedy MAP for a determinantal point
-process (log-det gain), farthest-first, seeded random, plus an exhaustive
-exact DPP mode for small pools used as the test oracle.
+process (log-det gain), farthest-first, and seeded random. A malformed pool
+raises InputError; an unsatisfiable request or a buffer over its budget
+raises ConfigError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
+from .errors import ConfigError, InputError
+
 __all__ = [
-    "PoolError",
-    "SelectionError",
-    "BudgetError",
-    "TrajFeature",
-    "Kernel",
     "ReplayBuffer",
     "SelectionAudit",
     "featurize",
@@ -31,49 +28,18 @@ __all__ = [
     "update_buffer",
 ]
 
-STRATEGIES = ("dpp", "dpp_exact", "ffs", "random")
+STRATEGIES = ("dpp", "ffs", "random")
 
 
-class PoolError(ValueError):
-    """Selection pool is malformed (mixed horizons, dim mismatch, ...)."""
-
-
-class SelectionError(ValueError):
-    """Selection request is unsatisfiable (m out of range, bad strategy)."""
-
-
-class BudgetError(ValueError):
-    """Replay buffer would exceed its budget fraction."""
-
-
-@dataclass
-class TrajFeature:
-    v: np.ndarray
-    traj_id: str
-
-
-@dataclass
-class Kernel:
-    L: np.ndarray
-
-    def check(self, sym_tol: float = 1e-10, psd_tol: float = -1e-8) -> None:
-        if not np.allclose(self.L, self.L.T, atol=sym_tol, rtol=0):
-            raise PoolError("kernel is not symmetric")
-        if np.linalg.eigvalsh(self.L).min() < psd_tol:
-            raise PoolError("kernel is not positive semidefinite")
-
-
-def featurize(traj, slice_len: int) -> TrajFeature:
+def featurize(traj, slice_len: int) -> np.ndarray:
     """Concatenate per-slice state means; trajectory length must divide."""
     states = np.asarray(traj.states, dtype=np.float64)[: len(traj.actions)]
     h = states.shape[0]
     if h == 0 or h % slice_len != 0:
-        raise PoolError(
+        raise InputError(
             f"horizon {h} is not a positive multiple of slice length {slice_len}"
         )
-    v = states.reshape(h // slice_len, slice_len, -1).mean(axis=1).reshape(-1)
-    tid = f"{getattr(traj, 'task_id', '?')}:{getattr(traj, 'seed', '?')}"
-    return TrajFeature(v=v, traj_id=tid)
+    return states.reshape(h // slice_len, slice_len, -1).mean(axis=1).reshape(-1)
 
 
 def preprocess_features(features: np.ndarray) -> np.ndarray:
@@ -86,15 +52,14 @@ def preprocess_features(features: np.ndarray) -> np.ndarray:
     return v
 
 
-def build_kernel(features) -> Kernel:
-    if isinstance(features[0], TrajFeature):
-        features = [f.v for f in features]
+def build_kernel(features) -> np.ndarray:
+    """The symmetrized Gram matrix L = V V^T of the feature rows."""
     dims = {np.asarray(f).shape for f in features}
     if len(dims) != 1:
-        raise PoolError(f"feature dimensions differ across the pool: {dims}")
+        raise InputError(f"feature dimensions differ across the pool: {dims}")
     v = np.asarray(features, dtype=np.float64)
     l = v @ v.T
-    return Kernel(L=(l + l.T) / 2.0)
+    return (l + l.T) / 2.0
 
 
 def subset_log_det(L: np.ndarray, idx) -> float:
@@ -147,18 +112,6 @@ def _greedy_dpp(L: np.ndarray, m: int, eps: float = 1e-12) -> list[int]:
     return chosen
 
 
-def _exact_dpp(L: np.ndarray, m: int) -> list[int]:
-    n = L.shape[0]
-    if n > 15 or m > 5:
-        raise SelectionError("exact DPP mode is limited to n <= 15, m <= 5")
-    best_det, best_subset = -np.inf, None
-    for subset in combinations(range(n), m):
-        det = np.linalg.det(L[np.ix_(subset, subset)])
-        if det > best_det:
-            best_det, best_subset = det, subset
-    return list(best_subset)
-
-
 def _ffs(features: np.ndarray, m: int) -> list[int]:
     norms = np.linalg.norm(features, axis=1)
     chosen = [int(np.argmax(norms))]
@@ -181,18 +134,15 @@ def select(
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if not 1 <= m <= n:
-        raise SelectionError(f"cannot select m={m} from a pool of {n}")
+        raise ConfigError(f"cannot select m={m} from a pool of {n}")
     if strategy == "random":
         rng = np.random.default_rng(seed)
         return [int(i) for i in rng.choice(n, size=m, replace=False)]
     if strategy == "ffs":
         return _ffs(features, m)
-    kernel = build_kernel(features)
     if strategy == "dpp":
-        return _greedy_dpp(kernel.L, m)
-    if strategy == "dpp_exact":
-        return _exact_dpp(kernel.L, m)
-    raise SelectionError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+        return _greedy_dpp(build_kernel(features), m)
+    raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +183,7 @@ def update_buffer(buffer: ReplayBuffer, n_new_distill: int, task_id: str, select
     projected = buffer.size + len(selected)
     allowed = buffer.budget_fraction * buffer.total_distill_seen
     if projected > allowed + 1e-9:
-        raise BudgetError(
+        raise ConfigError(
             f"buffer of {projected} would exceed {buffer.budget_fraction:.0%} "
             f"of {buffer.total_distill_seen} distill trajectories"
         )
@@ -252,20 +202,21 @@ def select_replay(
 ) -> tuple[list, SelectionAudit]:
     """Full pipeline for one task: featurize, preprocess, select, audit."""
     feats = [featurize(t, slice_len) for t in trajs]
-    dims = {f.v.shape for f in feats}
-    if len(dims) != 1:
-        raise PoolError("mixed horizons in one selection pool")
-    raw = np.stack([f.v for f in feats])
-    prepped = preprocess_features(raw)
+    if len({f.shape for f in feats}) != 1:
+        raise InputError("mixed horizons in one selection pool")
+    prepped = preprocess_features(np.stack(feats))
     idx = select(prepped, m, strategy=strategy, seed=seed)
-    log_det = subset_log_det(build_kernel(prepped).L, idx)
+    log_det = subset_log_det(build_kernel(prepped), idx)
     chosen = [trajs[i] for i in idx]
     audit = SelectionAudit(
         stage=stage,
         task_id=getattr(trajs[0], "task_id", "?"),
         strategy=strategy,
         seed=seed,
-        chosen_ids=[feats[i].traj_id for i in idx],
+        chosen_ids=[
+            f"{getattr(trajs[i], 'task_id', '?')}:{getattr(trajs[i], 'seed', '?')}"
+            for i in idx
+        ],
         log_det=log_det,
     )
     return chosen, audit

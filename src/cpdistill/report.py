@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import MetricsMatrix, UndefinedMetricError, accuracy, bwt, pca_project
+from .metrics import MetricsMatrix, accuracy, bwt, pca_project
 
 __all__ = ["summary_table", "render_report", "load_contexts"]
 
 
 def load_contexts(path) -> tuple[list[str], np.ndarray]:
+    """A run's `contexts.tsv`: the task ids and their context vectors."""
     ids, rows = [], []
     for line in Path(path).read_text().strip().split("\n"):
         cells = line.split("\t")
@@ -30,13 +31,7 @@ def summary_table(matrix: MetricsMatrix, strategy: str | None = None) -> str:
     lines = ["stage\tacc\tbwt"]
     for k in matrix.stages():
         acc = accuracy(matrix, k)
-        if strategy == "independent":
-            b = "n/a"
-        else:
-            try:
-                b = repr(bwt(matrix, k))
-            except UndefinedMetricError:
-                b = "n/a"
+        b = "n/a" if k < 2 or strategy == "independent" else repr(bwt(matrix, k))
         lines.append(f"{k}\t{repr(acc)}\t{b}")
     return "\n".join(lines) + "\n"
 

@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .errors import DimensionError, InputError
 from .optim import ParamGroup
 from .tensor import Tensor
 
 __all__ = [
-    "InputError",
-    "BatchError",
-    "ContextError",
     "ContrastiveBatch",
     "TaskEncoder",
     "ContextProvider",
@@ -28,18 +26,6 @@ __all__ = [
     "infonce_loss",
     "task_context_for",
 ]
-
-
-class InputError(ValueError):
-    """Input data unusable: an empty trajectory, dataset or batch."""
-
-
-class BatchError(ValueError):
-    """Contrastive batch has no usable anchors."""
-
-
-class ContextError(ValueError):
-    """No support trajectories available for a task."""
 
 
 def traj_stats(traj, n_chunks: int = 8) -> np.ndarray:
@@ -94,18 +80,13 @@ class TaskEncoder:
         """(B, input_dim) statistics -> (B, embed_dim) unit-norm embeddings."""
         stats = np.atleast_2d(np.asarray(stats, dtype=self.dtype))
         if stats.shape[1] != self.input_dim:
-            raise T.DimensionError(
+            raise DimensionError(
                 f"encoder expects width {self.input_dim}, got {stats.shape[1]}"
             )
         h = T.gelu(Tensor(stats) @ self._w1.tensor + self._b1.tensor)
         z = h @ self._w2.tensor + self._b2.tensor
         norm = T.sqrt(T.tsum(z * z, axis=1, keepdims=True) + 1e-12)
         return z / norm
-
-    def encode_trajectory(self, traj, n_chunks: int = 8) -> np.ndarray:
-        """Single-trajectory convenience path (no graph)."""
-        with T.no_grad():
-            return self.encode(traj_stats(traj, n_chunks)[None, :]).data[0]
 
 
 @dataclass
@@ -126,14 +107,14 @@ def infonce_loss(batch: ContrastiveBatch) -> Tensor:
     labels = np.asarray(batch.labels)
     n = z.shape[0]
     if n < 2:
-        raise BatchError("contrastive batch needs at least two samples")
+        raise InputError("contrastive batch needs at least two samples")
     same = labels[:, None] == labels[None, :]
     eye = np.eye(n, dtype=bool)
     pos_mask = (same & ~eye).astype(np.float64)
     cand_mask = (~eye).astype(np.float64)
     included = np.nonzero(pos_mask.any(axis=1))[0]
     if included.size == 0:
-        raise BatchError("no anchor has an in-batch positive")
+        raise InputError("no anchor has an in-batch positive")
 
     sims = z @ T.transpose(z, (1, 0))
     scaled = sims * (1.0 / batch.temperature)
@@ -153,7 +134,7 @@ def task_context_for(
 ) -> np.ndarray:
     """Renormalized mean of the support trajectories' embeddings."""
     if not support_trajs:
-        raise ContextError("task context requires at least one support trajectory")
+        raise InputError("task context requires at least one support trajectory")
     stats = np.stack([traj_stats(t, n_chunks) for t in support_trajs])
     with T.no_grad():
         z = encoder.encode(stats).data
@@ -174,7 +155,7 @@ class ContextProvider:
 
     def set_support(self, task_id: str, trajs: list) -> None:
         if not trajs:
-            raise ContextError(f"no support trajectories for task {task_id}")
+            raise InputError(f"no support trajectories for task {task_id}")
         self.support[task_id] = list(trajs)
 
     def refresh(self, task_ids) -> None:
@@ -185,7 +166,7 @@ class ContextProvider:
 
     def get(self, task_id: str) -> np.ndarray:
         if task_id not in self.cache:
-            raise ContextError(f"no cached context for task {task_id}")
+            raise InputError(f"no cached context for task {task_id}")
         return self.cache[task_id]
 
     def context_matrix(self, task_ids) -> np.ndarray:

@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
-    "ConfigError",
     "SuiteConfig",
     "TaskSpec",
     "Trajectory",
@@ -43,10 +44,6 @@ __all__ = [
     "write_trajectories",
     "read_trajectories",
 ]
-
-
-class ConfigError(ValueError):
-    """Suite/stream configuration is unsatisfiable."""
 
 
 def _rot(deg: float) -> np.ndarray:
@@ -79,11 +76,8 @@ class SuiteConfig:
     goal_ring: tuple[float, float] = (0.30, 0.55)
     goal_radius: float = 0.12       # per-episode jitter around the task center
     max_tasks: int = 50
-    seq_len: int = 20               # horizon must be a multiple of this
 
     def __post_init__(self):
-        if self.horizon % self.seq_len:
-            raise ConfigError("horizon must be a multiple of seq_len for replay slicing")
         if self.success_threshold <= 0:
             raise ConfigError("success threshold must be positive")
 
@@ -221,13 +215,12 @@ def step(
 _ALIGN_EPS = 0.04
 
 
-def expert_action(spec: TaskSpec, states: np.ndarray, kappa: float | None = None) -> np.ndarray:
+def expert_action(spec: TaskSpec, states: np.ndarray) -> np.ndarray:
     """clip(kappa * (waypoint - position)); memoryless and deterministic.
 
     A detour task first heads for the target shifted back along the detour
     axis, and turns to the target once aligned with it across that axis and
     past the shifted point."""
-    k = spec.kappa if kappa is None else kappa
     states = np.asarray(states)
     pos, goals = states[..., :2], states[..., 2:4]
     waypoint = task_target(spec, goals)
@@ -238,7 +231,7 @@ def expert_action(spec: TaskSpec, states: np.ndarray, kappa: float | None = None
         aligned = np.abs(pos[..., cross] - waypoint[..., cross]) < _ALIGN_EPS
         past = pos[..., axis] >= w0[..., axis] - _ALIGN_EPS
         waypoint = np.where((aligned & past)[..., None], waypoint, w0)
-    return np.clip(k * (waypoint - pos), -1.0, 1.0)
+    return np.clip(spec.kappa * (waypoint - pos), -1.0, 1.0)
 
 
 def rollout(

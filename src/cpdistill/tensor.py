@@ -2,13 +2,14 @@
 
 The kernel set is deliberately closed: matmul, add, elementwise mul/div,
 layer norm, softmax, GELU, row lookup/scatter (embedding + MoE dispatch),
-top-k selection, mean-squared-error, log, exp, sqrt, power, concatenate,
-slicing, and the reshape/transpose/sum/mean plumbing needed to compose
-losses. float64 is the default precision; float32 works but the tight
-gradient-check tolerances assume 64-bit.
+top-k selection, log, exp, sqrt, power, concatenate, slicing, and the
+reshape/transpose/sum/mean plumbing needed to compose losses. float64 is
+the default precision; float32 works but the tight gradient-check
+tolerances assume 64-bit. `DimensionError` and `NumericError` are the
+`cpdistill.errors` classes.
 
 Numerically risky kernels (matmul, div, log, exp, sqrt, pow, gelu, softmax,
-layer_norm, mse) validate their outputs and raise NumericError naming the
+layer_norm) validate their outputs and raise NumericError naming the
 kernel. Pure data movement (add, mul, concat, slice, reshape, transpose)
 cannot create non-finite values from finite inputs and is left unchecked.
 
@@ -32,6 +33,8 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import DimensionError, NumericError
 
 __all__ = [
     "Tensor",
@@ -59,16 +62,7 @@ __all__ = [
     "put_rows",
     "topk_indices",
     "concat",
-    "mse",
 ]
-
-
-class DimensionError(ValueError):
-    """Shapes handed to a kernel are inconsistent."""
-
-
-class NumericError(ArithmeticError):
-    """A kernel produced a non-finite value."""
 
 
 _grad_enabled = True
@@ -606,25 +600,3 @@ def _getitem(a: Tensor, key) -> Tensor:
 
     return _make(data, (a,), backward)
 
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean over all entries of the squared difference."""
-    tdata = target.data if isinstance(target, Tensor) else _as_float_array(target)
-    if pred.shape != tdata.shape:
-        raise DimensionError(f"mse shapes differ: {pred.shape} vs {tdata.shape}")
-    d = pred.data - tdata
-    data = np.asarray((d * d).mean())
-    _check_finite(data, "mse")
-    parents = (pred, target) if isinstance(target, Tensor) else (pred,)
-
-    def backward(g):
-        scale = 2.0 / d.size
-        _accum(pred, g * scale * d, fresh=True)
-        if isinstance(target, Tensor):
-            _accum(target, -g * scale * d, fresh=True)
-
-    return _make(data, parents, backward)

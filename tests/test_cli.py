@@ -45,7 +45,7 @@ def test_runtime_error_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"strategy": "nope"}))
     assert main(["distill", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "ValueError" in err
+    assert "ConfigError" in err
 
 
 def test_distill_deterministic_files(config_path, tmp_path, capsys):

@@ -6,16 +6,15 @@ from cpdistill.config import LambdaSchedule, ProtocolConfig
 from cpdistill.continual import (
     DistillDataset,
     EWCState,
-    InputError,
     ProtocolRunner,
     StageConfig,
-    StateError,
     distill_loss,
     estimate_fisher,
     ewc_penalty,
     kl_penalty,
     run_protocol,
 )
+from cpdistill.errors import ConfigError, InputError, StateError
 from cpdistill.metrics import accuracy, bwt
 from cpdistill.model import ModelConfig, StudentModel
 from cpdistill.teachers import TeacherPolicy, collect, make_task_stream
@@ -216,10 +215,24 @@ def test_config_rejects_removed_knobs():
     # teachers take their noise from the top-level `teacher_noise`
     assert tiny_protocol(suite={"horizon": 40}).suite_config().horizon == 40
     for key in ("teacher_noise", "gamma"):
-        with pytest.raises(TypeError, match=key):
+        with pytest.raises(ConfigError, match=key):
             tiny_protocol(suite={key: 0.1}).suite_config()
-    with pytest.raises(ValueError, match="workers"):
+    with pytest.raises(ConfigError, match="workers"):
         ProtocolConfig.from_dict({**tiny_protocol().to_dict(), "workers": 4})
+
+
+@pytest.mark.parametrize("over,key", [
+    (dict(model={"hiden_dim": 3}), "hiden_dim"),
+    (dict(suite={"seq_len": 10}), "seq_len"),
+    (dict(suite={"horizon": 30}), "horizon"),
+    (dict(batch_size=0), "batch_size"),
+    (dict(eval_episodes=0), "eval_episodes"),
+    (dict(epochs_stage1=-1), "epochs_stage1"),
+    (dict(replay_strategy="dpp_exact"), "replay_strategy"),
+])
+def test_config_rejects_bad_values_at_construction(over, key):
+    with pytest.raises(ConfigError, match=key):
+        tiny_protocol(**over)
 
 
 def test_config_rejects_unknown_replay_strategy():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from cpdistill.errors import InputError
 from cpdistill.metrics import (
-    MetricsError,
     MetricsMatrix,
-    UndefinedMetricError,
     accuracy,
     bwt,
     pca_project,
@@ -60,14 +59,14 @@ def test_bwt_hand_values():
 
 
 def test_metric_errors():
-    with pytest.raises(UndefinedMetricError):
+    with pytest.raises(InputError):
         bwt(TWO_STAGE, 1)
     incomplete = matrix_from({2: [0.5, np.nan]}, intro=[1, 2])
-    with pytest.raises(MetricsError):
+    with pytest.raises(InputError):
         accuracy(incomplete, 2)
-    with pytest.raises(MetricsError):
+    with pytest.raises(InputError):
         accuracy(TWO_STAGE, 5)
-    with pytest.raises(MetricsError):
+    with pytest.raises(InputError):
         TWO_STAGE.record(1, "task0", 1.5)
 
 
@@ -136,5 +135,5 @@ def test_pca_sign_convention_deterministic():
     c1, _ = pca_project(pts)
     c2, _ = pca_project(pts.copy())
     assert np.array_equal(c1, c2)
-    with pytest.raises(MetricsError):
+    with pytest.raises(InputError):
         pca_project(pts[:1])

@@ -1,20 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from cpdistill import tensor as T
+from cpdistill.errors import ConfigError, InputError, StateError
 from cpdistill.model import (
     ExpansionConfig,
     GatingStats,
-    MaskScheduleError,
     ModelConfig,
-    SequenceLengthError,
     StudentModel,
     apply_mask_schedule,
     aux_loss,
     expand_experts,
     moe_route,
 )
-from cpdistill.optim import ParamGroup, eval_with_gradients, finite_difference_grads
+from cpdistill.optim import ParamGroup
+from oracles import eval_with_gradients, finite_difference_grads, predict_one
 from cpdistill.tensor import Tensor
 
 
@@ -57,7 +59,7 @@ def test_embed_produces_one_token_per_state():
     windows, z = probe(cfg, batch=2, t=7)
     tokens = model.embed_input(windows, z)
     assert tokens.shape == (2, 7, cfg.hidden_dim)
-    with pytest.raises(SequenceLengthError):
+    with pytest.raises(InputError):
         model.embed_input(np.zeros((1, 11, cfg.obs_dim)), z[:1])
 
 
@@ -74,7 +76,6 @@ def test_paper_scale_defaults():
     cfg = ModelConfig(obs_dim=39, action_dim=4)
     assert (cfg.hidden_dim, cfg.depth, cfg.experts_per_layer) == (256, 5, 8)
     assert (cfg.mlp_multiplier, cfg.seq_len, cfg.task_embed_dim) == (4, 20, 16)
-    assert cfg.causal and cfg.use_aux
 
 
 def zero_sublayers(model):
@@ -199,17 +200,17 @@ def test_predict_action_contract():
     windows, z = probe(cfg, batch=1)
     model.params["head.w"].tensor.data = np.zeros_like(model.params["head.w"].tensor.data)
     model.params["head.b"].tensor.data = np.zeros_like(model.params["head.b"].tensor.data)
-    a = model.predict_action(windows[0], z[0])
+    a = predict_one(model, windows[0], z[0])
     assert np.all(a == 0.0)
 
     cfg4 = tiny_config(action_dim=4)
     model4 = StudentModel(cfg4, seed=17)
     w4, z4 = probe(cfg4, batch=1)
-    out = model4.predict_action(w4[0], z4[0])
+    out = predict_one(model4, w4[0], z4[0])
     assert out.shape == (4,)
-    assert np.array_equal(out, model4.predict_action(w4[0], z4[0]))
-    with pytest.raises(SequenceLengthError):
-        model4.predict_action(np.zeros((0, cfg4.obs_dim)), z4[0])
+    assert np.array_equal(out, predict_one(model4, w4[0], z4[0]))
+    with pytest.raises(InputError):
+        predict_one(model4, np.zeros((0, cfg4.obs_dim)), z4[0])
 
 
 def test_expansion_preserves_actions_with_masked_gate():
@@ -296,11 +297,11 @@ def test_mask_schedule():
     assert "blocks.0.experts.0.w1" in names and "blocks.0.experts.2.w1" in names
     assert not any(".attn." in n for n in names)
 
-    with pytest.raises(MaskScheduleError):
+    with pytest.raises(ConfigError):
         apply_mask_schedule(model, stage=1, phase=2)
-    with pytest.raises(MaskScheduleError):
+    with pytest.raises(ConfigError):
         apply_mask_schedule(model, stage=0, phase=1)
-    with pytest.raises(MaskScheduleError):
+    with pytest.raises(ConfigError):
         apply_mask_schedule(model, stage=2, phase=3)
 
 
@@ -392,6 +393,17 @@ def test_save_load_clone_round_trip(tmp_path):
     assert np.array_equal(model.predict_batch(windows, z), twin.predict_batch(windows, z))
     twin.params["head.w"].tensor.data += 1.0
     assert not np.array_equal(model.predict_batch(windows, z), twin.predict_batch(windows, z))
+
+
+def test_load_rejects_unknown_config_keys(tmp_path):
+    # a checkpoint written while ModelConfig still had `causal`
+    StudentModel(tiny_config(), seed=5).save(tmp_path / "m")
+    manifest = tmp_path / "m" / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["extra"]["config"]["causal"] = True
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(StateError, match="causal"):
+        StudentModel.load(tmp_path / "m")
 
 
 def naive_route(x, layer, k):

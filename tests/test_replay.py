@@ -4,12 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cpdistill.errors import ConfigError, InputError
 from cpdistill.replay import (
-    BudgetError,
-    Kernel,
-    PoolError,
     ReplayBuffer,
-    SelectionError,
     build_kernel,
     featurize,
     preprocess_features,
@@ -18,6 +15,7 @@ from cpdistill.replay import (
     subset_log_det,
     update_buffer,
 )
+from oracles import check_kernel, exact_dpp
 
 
 def traj_with_states(states, task_id="t", seed=0):
@@ -36,33 +34,33 @@ def traj_with_states(states, task_id="t", seed=0):
 def test_featurize_dimensions():
     rng = np.random.default_rng(0)
     traj = traj_with_states(rng.normal(size=(41, 4)))
-    assert featurize(traj, 20).v.shape == (2 * 4,)
+    assert featurize(traj, 20).shape == (2 * 4,)
 
     const = traj_with_states(np.full((41, 4), 3.25))
-    assert np.all(featurize(const, 20).v == 3.25)
+    assert np.all(featurize(const, 20) == 3.25)
 
     long = traj_with_states(rng.normal(size=(501, 4)))
-    assert featurize(long, 20).v.shape == (25 * 4,)
+    assert featurize(long, 20).shape == (25 * 4,)
 
-    with pytest.raises(PoolError):
+    with pytest.raises(InputError):
         featurize(traj_with_states(rng.normal(size=(42, 4))), 20)
 
 
 def test_kernel_construction():
     eye = build_kernel(np.eye(3))
-    assert np.array_equal(eye.L, np.eye(3))
-    eye.check()
+    assert np.array_equal(eye, np.eye(3))
+    check_kernel(eye)
 
     hand = build_kernel(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    assert np.array_equal(hand.L, np.array([[1.0, 1.0], [1.0, 2.0]]))
+    assert np.array_equal(hand, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
     dup = build_kernel(np.array([[1.0, 2.0], [1.0, 2.0], [0.5, 0.1]]))
-    assert subset_log_det(dup.L, [0, 1]) == -np.inf
+    assert subset_log_det(dup, [0, 1]) == -np.inf
 
-    with pytest.raises(PoolError):
+    with pytest.raises(InputError):
         build_kernel([np.ones(3), np.ones(4)])
-    with pytest.raises(PoolError):
-        Kernel(L=np.array([[1.0, 2.0], [0.0, 1.0]])).check()
+    with pytest.raises(InputError):
+        check_kernel(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_dpp_picks_largest_orthogonal_norms():
@@ -75,22 +73,23 @@ def test_dpp_picks_largest_orthogonal_norms():
     )
     assert set(best) == {0, 1}
     assert np.linalg.det(gram[np.ix_(best, best)]) == 36.0
-    for strategy in ("dpp", "dpp_exact"):
-        assert set(select(feats, 2, strategy=strategy)) == {0, 1}
+    assert set(select(feats, 2, strategy="dpp")) == {0, 1}
+    assert set(exact_dpp(build_kernel(feats), 2)) == {0, 1}
 
 
 def test_select_m_equals_n_and_errors():
     feats = np.random.default_rng(1).normal(size=(4, 3))
-    for strategy in ("dpp", "ffs", "random", "dpp_exact"):
+    for strategy in ("dpp", "ffs", "random"):
         assert sorted(select(feats, 4, strategy=strategy)) == [0, 1, 2, 3]
-    with pytest.raises(SelectionError):
+    assert sorted(exact_dpp(build_kernel(feats), 4)) == [0, 1, 2, 3]
+    with pytest.raises(ConfigError):
         select(feats, 5)
-    with pytest.raises(SelectionError):
+    with pytest.raises(ConfigError):
         select(feats, 0)
-    with pytest.raises(SelectionError):
+    with pytest.raises(ConfigError):
         select(feats, 2, strategy="best")
-    with pytest.raises(SelectionError):
-        select(np.zeros((16, 2)), 2, strategy="dpp_exact")
+    with pytest.raises(ConfigError):
+        select(feats, 2, strategy="dpp_exact")
 
 
 def test_dpp_avoids_exact_duplicates():
@@ -124,10 +123,9 @@ def test_dpp_dominates_baselines_on_random_pools():
         n = int(rng.integers(5, 13))
         m = int(rng.integers(2, 5))
         feats = rng.normal(size=(n, 6))
-        kernel = build_kernel(feats)
-        kernel.check()
-        gram = kernel.L
-        d_exact = subset_log_det(gram, select(feats, m, strategy="dpp_exact"))
+        gram = build_kernel(feats)
+        check_kernel(gram)
+        d_exact = subset_log_det(gram, exact_dpp(gram, m))
         d_greedy = subset_log_det(gram, select(feats, m, strategy="dpp"))
         d_ffs = subset_log_det(gram, select(feats, m, strategy="ffs"))
         d_rand = subset_log_det(gram, select(feats, m, strategy="random", seed=trial))
@@ -148,7 +146,7 @@ def test_budget_arithmetic():
     update_buffer(buffer, 0, "taskA", [])
     assert buffer.size == 10
 
-    with pytest.raises(BudgetError):
+    with pytest.raises(ConfigError):
         update_buffer(ReplayBuffer(0.10), 50, "taskB", trajs[:10])
 
 

@@ -1,12 +1,13 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cpdistill.continual import rollout_success_batch
+from cpdistill.errors import ConfigError
 from cpdistill.teachers import (
     FAMILIES,
-    ConfigError,
     SuiteConfig,
     TeacherPolicy,
     collect,
@@ -156,7 +157,7 @@ def test_expert_action_values():
 
     reach = [t for t in flat(stream_tasks()) if t.family == "reach"][0]
     probe = np.array([0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(expert_action(reach, probe, kappa=5.0), np.array([1.0, 0.0]))
+    assert np.array_equal(expert_action(replace(reach, kappa=5.0), probe), np.array([1.0, 0.0]))
 
     s = initial_state(task, seed=9)
     assert np.array_equal(expert_action(task, s), expert_action(task, s))
