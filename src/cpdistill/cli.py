@@ -6,6 +6,11 @@
     cpdistill select  --input trajs.jsonl --m 5 [--strategy dpp] [--seed N] [--out DIR]
     cpdistill report  --out runs/r0
 
+`eval` rescores the stage-K checkpoint of the run in --out; it needs that
+run's config and seed, and raises StateError when the stage is incomplete or
+was written by another strategy or seed. `report` prints the run's Acc/BWT
+table and renders the newest complete stage of the run.
+
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 
 BLAS threads: the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
@@ -24,10 +29,8 @@ from pathlib import Path
 
 from .config import ProtocolConfig, load_config
 from .continual import ProtocolRunner, run_protocol, write_audits
-from .metrics import MetricsMatrix
-from .model import StudentModel
 from .replay import select_replay
-from .report import load_contexts, render_report, summary_table
+from .report import render_report, summary_table
 from .teachers import read_trajectories, write_trajectories
 
 __all__ = ["main"]
@@ -46,8 +49,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cpdistill", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", type=Path, required=config_required,
+    def common(p):
+        p.add_argument("--config", type=Path, required=True,
                        help="protocol config JSON (see cpdistill.config)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, help="output directory")
@@ -79,13 +82,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> ProtocolConfig:
-    return load_config(args.config)
-
-
 def _cmd_teach(args) -> int:
     """Write each task's teacher demonstrations, the ones `distill` trains on."""
-    config = _load(args)
+    config = load_config(args.config)
     runner = ProtocolRunner(config, args.seed)
     out = args.out or Path("teach")
     stages = range(1, len(runner.stream) + 1) if args.stage is None else [args.stage]
@@ -103,7 +102,7 @@ def _cmd_teach(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     if args.strategy:
         config = ProtocolConfig.from_dict({**config.to_dict(), "strategy": args.strategy})
     matrix, runner = run_protocol(config, args.seed, out_dir=args.out, resume=args.resume)
@@ -113,16 +112,11 @@ def _cmd_distill(args) -> int:
 
 def _cmd_eval(args) -> int:
     """Score a stage checkpoint on the episodes the run evaluated it on."""
-    config = _load(args)
-    runner = ProtocolRunner(config, args.seed)
-    stage_dir = Path(args.out) / f"stage_{args.stage}"
-    model, header = StudentModel.load(stage_dir / "model")
-    ids, vecs = load_contexts(stage_dir / "contexts.tsv")
-    contexts = dict(zip(ids, vecs))
-    # the rates a fresh-model run carries over for earlier tasks
-    runner.matrix = MetricsMatrix.load(stage_dir / "metrics.tsv")
+    runner = ProtocolRunner(load_config(args.config), args.seed, out_dir=args.out)
+    runner.load_stage(args.stage)
+    rates = runner.stage_rates(runner.model, runner.provider.get, args.stage)
     print("task_id\tsuccess_rate")
-    for task_id, rate in runner.stage_rates(model, contexts.__getitem__, args.stage).items():
+    for task_id, rate in rates.items():
         print(f"{task_id}\t{rate}")
     return 0
 
@@ -146,14 +140,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_report(args) -> int:
     report_dir = render_report(args.out)
-    matrix = MetricsMatrix.load(report_dir / "metrics.tsv")
-    strategy = None
-    run_json = Path(args.out) / "run.json"
-    if run_json.exists():
-        import json
-
-        strategy = json.loads(run_json.read_text()).get("strategy")
-    print(summary_table(matrix, strategy), end="")
+    print((report_dir / "summary.tsv").read_text(), end="")
     print(f"report written to {report_dir}")
     return 0
 

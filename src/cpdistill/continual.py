@@ -15,6 +15,24 @@ Within a stage the phase schedule is epoch-gated: phase 1 is epoch 1
 every later epoch (gate frozen, all experts train). The backbone is frozen
 permanently after stage 1. The contrastive objective runs jointly with
 distillation during stage 1 and during epoch 1 of later stages.
+
+Run directory (``out_dir``)
+    config.json             the protocol config
+    metrics.tsv             the metrics matrix, written when the run ends
+    stage_k/                one per finished stage k:
+      model/, optimizer/    the stage-k student and its AdamW state
+      buffer.jsonl          the replay buffer
+      metrics.tsv           the metrics matrix through row k
+      contexts.tsv          each seen task's context vector
+      audits.tsv            every replay selection so far
+      fisher/               EWC's Fisher estimate, before a later stage only
+      routing_layer*.tsv    per-layer expert loads on a fixed probe
+      state.json            stage, strategy, seed, global step, distill count
+
+A stage writes ``state.json`` last, so a stage is complete when it exists
+(`completed_stages`). `ProtocolRunner.load_stage` is the one reader of a
+stage directory; resume and ``cpdistill eval`` restore through it, and
+``cpdistill report`` picks its stage with `completed_stages`.
 """
 from __future__ import annotations
 
@@ -37,8 +55,8 @@ from .model import (
 )
 from .optim import AdamW, ParamGroup
 from .replay import ReplayBuffer, SelectionAudit, select_replay, update_buffer
-from .report import load_contexts
 from .taskctx import ContextProvider, ContrastiveBatch, infonce_loss, traj_stats
+from .taskctx import load_contexts, write_contexts
 from .teachers import (
     TaskSpec,
     TeacherPolicy,
@@ -54,7 +72,6 @@ from .tensor import Tensor
 __all__ = [
     "StageConfig",
     "EWCState",
-    "CallCounters",
     "DistillDataset",
     "distill_loss",
     "estimate_fisher",
@@ -63,6 +80,7 @@ __all__ = [
     "rollout_success_batch",
     "ProtocolRunner",
     "run_protocol",
+    "completed_stages",
     "write_audits",
     "read_audits",
 ]
@@ -73,9 +91,6 @@ class StageConfig:
     index: int
     task_ids: list[str]
     epochs: int = 2
-    batch_size: int = 128
-    episodes_per_task: int = 96
-    replay_m: int = 8
 
     def __post_init__(self):
         if self.index < 1:
@@ -89,14 +104,6 @@ class EWCState:
     anchors: dict[str, np.ndarray]
     fisher: dict[str, np.ndarray]
     lam: float = 100.0
-
-
-@dataclass
-class CallCounters:
-    """Strategy-isolation instrumentation (which code paths actually ran)."""
-
-    expansions: int = 0
-    replay_selections: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +133,9 @@ class DistillDataset:
             raise InputError("no trajectories to train on")
         self.task_ids = list(task_ids)
         index = {tid: i for i, tid in enumerate(self.task_ids)}
+        unknown = sorted({t.task_id for t in trajs} - index.keys())
+        if unknown:
+            raise InputError(f"trajectories of tasks {unknown} not among the dataset's tasks")
         raw: dict[int, list] = {}
         for uid, traj in enumerate(trajs):
             tix = index[traj.task_id]
@@ -143,10 +153,6 @@ class DistillDataset:
                 task_idx=np.array([r[2] for r in rows], dtype=np.intp),
                 uid=np.array([r[3] for r in rows], dtype=np.intp),
             )
-
-    @property
-    def n_samples(self) -> int:
-        return sum(b.windows.shape[0] for b in self.buckets.values())
 
     def epoch_batches(self, rng: np.random.Generator, batch_size: int):
         """One full shuffled pass: every sample appears exactly once."""
@@ -301,14 +307,12 @@ class ProtocolRunner:
         )
         self.schedule = config.schedule()
         self.matrix = MetricsMatrix()
-        self.counters = CallCounters()
         self.audits: list[SelectionAudit] = []
         self.buffer = ReplayBuffer(budget_fraction=config.budget_fraction)
         self.global_step = 0
         self.ewc_state: EWCState | None = None
         self.prev_model: StudentModel | None = None
         self.stage_data: dict[str, list[Trajectory]] = {}
-        self._seen: list[TaskSpec] = []
         self._fresh_student(_INIT, 0)
 
     def _fresh_student(self, tag: int, stage: int) -> None:
@@ -328,17 +332,18 @@ class ProtocolRunner:
             index=k,
             task_ids=[s.task_id for s in self.stream[k - 1]],
             epochs=cfg.epochs_stage1 if k == 1 else cfg.epochs_later,
-            batch_size=cfg.batch_size,
-            episodes_per_task=cfg.episodes_per_task,
-            replay_m=cfg.replay_m,
         )
 
     # ------------------------------------------------------------------
 
     def run(self, resume: bool = False) -> MetricsMatrix:
+        """Run every stage, or with ``resume`` those after the newest complete one."""
         start = 1
-        if resume:
-            start = self._resume() + 1
+        if resume and self.out_dir is not None:
+            done = completed_stages(self.out_dir)
+            if done:
+                self.load_stage(done[-1])
+                start = done[-1] + 1
         for k in range(start, self.config.n_stages + 1):
             self.run_stage(self.stage_config(k), self.stream[k - 1])
         return self.matrix
@@ -351,13 +356,12 @@ class ProtocolRunner:
 
         for spec in specs:
             self.matrix.add_task(spec.task_id, k)
-            self._seen.append(spec)
 
         # 1. collect teacher demonstrations
         self.stage_data = {}
-        for spec in specs:
-            ordinal = len(self._seen) - len(specs) + specs.index(spec)
-            trajs = self.teacher_data(spec, k, ordinal, stage.episodes_per_task)
+        first = sum(len(earlier) for earlier in self.stream[: k - 1])
+        for i, spec in enumerate(specs):
+            trajs = self.teacher_data(spec, k, first + i, self.config.episodes_per_task)
             self.stage_data[spec.task_id] = trajs
             self.provider.set_support(spec.task_id, trajs[: self.config.support_episodes])
 
@@ -366,7 +370,6 @@ class ProtocolRunner:
             expand_experts(
                 self.model, self.config.expansion_config(), seed=_int_seed(self.seed, k, _EXPAND)
             )
-            self.counters.expansions += 1
             self.optimizer.groups = self.model.groups()
             apply_mask_schedule(self.model, k, 1)
 
@@ -375,7 +378,9 @@ class ProtocolRunner:
         if traits.replay:
             train_trajs = train_trajs + self.buffer.all_trajectories()
         present = {t.task_id for t in train_trajs}
-        data_task_ids = [s.task_id for s in self._seen if s.task_id in present]
+        data_task_ids = [
+            s.task_id for seen in self.stream[:k] for s in seen if s.task_id in present
+        ]
         dataset = DistillDataset(train_trajs, self.model_cfg.seq_len, data_task_ids)
         nce_stats = np.stack(
             [traj_stats(t, self.model_cfg.stats_chunks) for t in train_trajs]
@@ -393,7 +398,7 @@ class ProtocolRunner:
             self.provider.refresh(current_ids)
             ctx = self.provider.context_matrix(data_task_ids)
             infonce_on = (k == 1 or epoch == 1) and self.config.infonce_weight > 0
-            for batch in dataset.epoch_batches(rng, stage.batch_size):
+            for batch in dataset.epoch_batches(rng, self.config.batch_size):
                 if self.config.max_steps is not None and steps >= self.config.max_steps:
                     capped = True
                     break
@@ -412,18 +417,17 @@ class ProtocolRunner:
         if traits.replay:
             for spec in specs:
                 pool = self.stage_data[spec.task_id]
-                if stage.replay_m == 0:
+                if self.config.replay_m == 0:
                     update_buffer(self.buffer, len(pool), spec.task_id, [])
                     continue
                 chosen, audit = select_replay(
                     pool,
                     slice_len=self.model_cfg.seq_len,
-                    m=stage.replay_m,
+                    m=self.config.replay_m,
                     strategy=self.config.replay_strategy,
                     seed=_int_seed(self.seed, k, _SELECT, specs.index(spec)),
                     stage=k,
                 )
-                self.counters.replay_selections += 1
                 update_buffer(self.buffer, len(pool), spec.task_id, chosen)
                 self.audits.append(audit)
 
@@ -568,7 +572,7 @@ class ProtocolRunner:
         save_optimizer(d / "optimizer", self.optimizer)
         write_trajectories(d / "buffer.jsonl", self.buffer.all_trajectories())
         self.matrix.save(d / "metrics.tsv")
-        self._write_contexts(d / "contexts.tsv")
+        write_contexts(d / "contexts.tsv", self.provider.cache, self.matrix.task_ids)
         write_audits(d / "audits.tsv", self.audits)
         if self.ewc_state is not None and k < self.config.n_stages:
             save_groups(
@@ -585,10 +589,6 @@ class ProtocolRunner:
             "strategy": self.config.strategy,
             "seed": self.seed,
             "total_distill_seen": self.buffer.total_distill_seen,
-            "counters": {
-                "expansions": self.counters.expansions,
-                "replay_selections": self.counters.replay_selections,
-            },
         }
         (d / "state.json").write_text(json.dumps(state, indent=1, sort_keys=True))
 
@@ -612,37 +612,32 @@ class ProtocolRunner:
                 lines.append(f"{i}\t{int(c)}\t{repr(float(frac))}")
             (d / f"routing_layer{l}.tsv").write_text("\n".join(lines) + "\n")
 
-    def _write_contexts(self, path: Path) -> None:
-        lines = []
-        for tid in self.matrix.task_ids:
-            if tid in self.provider.cache:
-                vec = self.provider.cache[tid]
-                lines.append(tid + "\t" + "\t".join(repr(float(v)) for v in vec))
-        path.write_text("\n".join(lines) + "\n")
-
-    def _resume(self) -> int:
-        """Load the newest complete stage checkpoint; returns its index
-        (0 when nothing to resume)."""
-        if self.out_dir is None or not self.out_dir.exists():
-            return 0
-        done = sorted(
-            int(p.name.split("_")[1])
-            for p in self.out_dir.glob("stage_*")
-            if (p / "state.json").exists()
-        )
-        if not done:
-            return 0
-        k = done[-1]
+    def load_stage(self, k: int) -> None:
+        """Restore the runner to the end of stage k from ``stage_k/``: the
+        student, optimizer, contexts, metrics matrix, replay buffer, global
+        step, replay audits, and the EWC or KL state the next stage needs.
+        Raises `StateError` when the stage is not complete or was written
+        by another strategy, seed or task stream."""
+        if self.out_dir is None:
+            raise StateError("the runner has no run directory to load a stage from")
         d = self._stage_dir(k)
+        if not (d / "state.json").exists():
+            raise StateError(f"{d} is not a complete stage: it has no state.json")
         state = json.loads((d / "state.json").read_text())
         if state["strategy"] != self.config.strategy or state["seed"] != self.seed:
-            raise StateError("checkpoint strategy/seed do not match this run")
+            raise StateError(
+                f"{d} was written by strategy {state['strategy']} with seed "
+                f"{state['seed']}, not {self.config.strategy} with seed {self.seed}"
+            )
+        matrix = MetricsMatrix.load(d / "metrics.tsv")
+        if matrix.task_ids != [s.task_id for stage in self.stream[:k] for s in stage]:
+            raise StateError(f"{d} scores tasks other than this config's stream")
+        self.matrix = matrix
         self.model, _ = StudentModel.load(d / "model")
         self.optimizer = load_optimizer(d / "optimizer", self.model.groups())
         self.provider = ContextProvider(
             self.model.encoder, n_chunks=self.model_cfg.stats_chunks
         )
-        self.matrix = MetricsMatrix.load(d / "metrics.tsv")
         ids, vecs = load_contexts(d / "contexts.tsv")
         self.provider.cache.update(zip(ids, vecs))
         self.buffer = ReplayBuffer(budget_fraction=self.config.budget_fraction)
@@ -650,9 +645,7 @@ class ProtocolRunner:
             self.buffer.trajs_by_task.setdefault(traj.task_id, []).append(traj)
         self.buffer.total_distill_seen = state["total_distill_seen"]
         self.global_step = state["global_step"]
-        self.counters = CallCounters(**state["counters"])
         self.audits = read_audits(d / "audits.tsv")
-        self._seen = [s for stage in self.stream[:k] for s in stage]
         if self.traits.ewc and (d / "fisher").exists():
             groups, _ = load_groups(d / "fisher")
             fisher = {g.name: g.tensor.data for g in groups}
@@ -662,7 +655,13 @@ class ProtocolRunner:
             self.ewc_state = EWCState(anchors, fisher, lam=self.config.ewc_lambda)
         if self.traits.kl:
             self.prev_model = self.model.clone()
-        return k
+
+
+def completed_stages(run_dir) -> list[int]:
+    """The indices of the complete stages in ``run_dir``, ascending: those
+    whose ``stage_k/state.json``, the last file a stage writes, exists."""
+    names = (p.parent.name[len("stage_"):] for p in Path(run_dir).glob("stage_*/state.json"))
+    return sorted(int(n) for n in names if n.isdigit())
 
 
 def write_audits(path, audits: list[SelectionAudit]) -> None:
@@ -702,9 +701,6 @@ def run_protocol(
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         save_config(Path(out_dir) / "config.json", config)
-        (Path(out_dir) / "run.json").write_text(
-            json.dumps({"seed": seed, "strategy": config.strategy}, indent=1)
-        )
     matrix = runner.run(resume=resume)
     if out_dir is not None:
         matrix.save(Path(out_dir) / "metrics.tsv")

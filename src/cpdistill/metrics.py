@@ -40,13 +40,21 @@ class MetricsMatrix:
     def record(self, stage: int, task_id: str, rate: float) -> None:
         if not 0.0 <= rate <= 1.0:
             raise InputError(f"success rate {rate} outside [0, 1]")
+        j = self._column(task_id)
         if stage not in self.rows:
             self.rows[stage] = np.full(len(self.task_ids), np.nan)
-        self.rows[stage][self.task_ids.index(task_id)] = rate
+        self.rows[stage][j] = rate
 
     def value(self, stage: int, task_id: str) -> float:
-        j = self.task_ids.index(task_id)
+        j = self._column(task_id)
+        if stage not in self.rows:
+            raise InputError(f"no row recorded for stage {stage}")
         return float(self.rows[stage][j])
+
+    def _column(self, task_id: str) -> int:
+        if task_id not in self.task_ids:
+            raise InputError(f"task {task_id} was never added to the matrix")
+        return self.task_ids.index(task_id)
 
     def stages(self) -> list[int]:
         return sorted(self.rows)

@@ -136,13 +136,6 @@ class MoELayer:
     def n_experts(self) -> int:
         return len(self.experts)
 
-    @property
-    def gate_frozen(self) -> bool:
-        return not self.gate_w.trainable
-
-    def expert_frozen(self, i: int) -> bool:
-        return not self.experts[i].w1.trainable
-
 
 def moe_route(
     x: Tensor, layer: MoELayer, k: int, rows: np.ndarray | None = None
@@ -448,15 +441,13 @@ class StudentModel:
     # ------------------------------------------------------------------
     # persistence
 
-    def save(self, path, stage: int = 0, extra: dict | None = None) -> None:
+    def save(self, path, stage: int = 0) -> None:
         header = {
             "config": asdict(self.config),
             "expert_counts": list(self.expert_counts),
             "new_expert_start": list(self.new_expert_start),
             "stage": stage,
         }
-        if extra:
-            header.update(extra)
         save_groups(path, self.groups(), extra=header)
 
     @classmethod

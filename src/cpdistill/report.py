@@ -1,43 +1,37 @@
 """Read-only rendering of run artifacts: the Acc/BWT table, per-layer
 routing-load histograms, the task-embedding dump and its 2-D PCA
-projection, and a config echo. Output is tabular text; plotting is left to
-external tooling."""
+projection, and a config echo. The table comes from the run's
+`metrics.tsv`, the rest from its newest complete stage (see
+`cpdistill.continual` for the run-directory layout). Output is tabular
+text; plotting is left to external tooling."""
 from __future__ import annotations
 
 import json
 import shutil
 from pathlib import Path
 
-import numpy as np
-
+from .config import STRATEGY_TRAITS
+from .continual import completed_stages
 from .metrics import MetricsMatrix, accuracy, bwt, pca_project
+from .taskctx import load_contexts
 
-__all__ = ["summary_table", "render_report", "load_contexts"]
-
-
-def load_contexts(path) -> tuple[list[str], np.ndarray]:
-    """A run's `contexts.tsv`: the task ids and their context vectors."""
-    ids, rows = [], []
-    for line in Path(path).read_text().strip().split("\n"):
-        cells = line.split("\t")
-        ids.append(cells[0])
-        rows.append([float(c) for c in cells[1:]])
-    return ids, np.asarray(rows)
+__all__ = ["summary_table", "render_report"]
 
 
 def summary_table(matrix: MetricsMatrix, strategy: str | None = None) -> str:
-    """Per-stage Acc and BWT; BWT is n/a at stage 1 and for the independent
+    """Per-stage Acc and BWT; BWT is n/a at stage 1 and for a fresh-model
     strategy (no continuity between its per-stage models)."""
+    fresh = strategy is not None and STRATEGY_TRAITS[strategy].fresh_model
     lines = ["stage\tacc\tbwt"]
     for k in matrix.stages():
         acc = accuracy(matrix, k)
-        b = "n/a" if k < 2 or strategy == "independent" else repr(bwt(matrix, k))
+        b = "n/a" if k < 2 or fresh else repr(bwt(matrix, k))
         lines.append(f"{k}\t{repr(acc)}\t{b}")
     return "\n".join(lines) + "\n"
 
 
 def render_report(run_dir, report_dir=None) -> Path:
-    """Render a RunReport directory from a finished (or partial) run."""
+    """Render a report directory from a finished (or partial) run."""
     run_dir = Path(run_dir)
     report_dir = Path(report_dir) if report_dir else run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -53,26 +47,22 @@ def render_report(run_dir, report_dir=None) -> Path:
     shutil.copyfile(run_dir / "metrics.tsv", report_dir / "metrics.tsv")
     (report_dir / "summary.tsv").write_text(summary_table(matrix, strategy))
 
-    stages = sorted(
-        (int(p.name.split("_")[1]), p)
-        for p in run_dir.glob("stage_*")
-        if (p / "contexts.tsv").exists()
-    )
-    if stages:
-        last = stages[-1][1]
-        shutil.copyfile(last / "contexts.tsv", report_dir / "embeddings.tsv")
-        ids, vecs = load_contexts(last / "contexts.tsv")
-        if len(ids) >= 2:
-            coords, fractions = pca_project(vecs)
-            lines = [
-                "# explained_variance\t" + "\t".join(repr(float(f)) for f in fractions),
-                "task_id\tpc1\tpc2",
-            ]
-            for tid, (x, y) in zip(ids, coords):
-                lines.append(f"{tid}\t{repr(float(x))}\t{repr(float(y))}")
-            (report_dir / "embedding_pca.tsv").write_text("\n".join(lines) + "\n")
-        if (last / "audits.tsv").exists():
-            shutil.copyfile(last / "audits.tsv", report_dir / "audits.tsv")
-        for hist in last.glob("routing_layer*.tsv"):
-            shutil.copyfile(hist, report_dir / hist.name)
+    done = completed_stages(run_dir)
+    if not done:
+        return report_dir
+    last = run_dir / f"stage_{done[-1]}"
+    shutil.copyfile(last / "contexts.tsv", report_dir / "embeddings.tsv")
+    ids, vecs = load_contexts(last / "contexts.tsv")
+    if len(ids) >= 2:
+        coords, fractions = pca_project(vecs)
+        lines = [
+            "# explained_variance\t" + "\t".join(repr(float(f)) for f in fractions),
+            "task_id\tpc1\tpc2",
+        ]
+        for tid, (x, y) in zip(ids, coords):
+            lines.append(f"{tid}\t{repr(float(x))}\t{repr(float(y))}")
+        (report_dir / "embedding_pca.tsv").write_text("\n".join(lines) + "\n")
+    shutil.copyfile(last / "audits.tsv", report_dir / "audits.tsv")
+    for hist in last.glob("routing_layer*.tsv"):
+        shutil.copyfile(hist, report_dir / hist.name)
     return report_dir

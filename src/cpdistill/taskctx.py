@@ -5,11 +5,13 @@ A trajectory is summarized as a fixed number of chunk means over its
 L2-normalized into a 16-dim context vector. The encoder trains with an
 InfoNCE objective where positives are same-task trajectories; at policy
 time each task gets one cached context vector, the renormalized mean of
-its support-trajectory embeddings.
+its support-trajectory embeddings. A run stores the cached vectors in
+`contexts.tsv` (`write_contexts`, `load_contexts`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +27,8 @@ __all__ = [
     "traj_stats",
     "infonce_loss",
     "task_context_for",
+    "write_contexts",
+    "load_contexts",
 ]
 
 
@@ -54,25 +58,24 @@ class TaskEncoder:
         input_dim: int,
         hidden_dim: int = 64,
         embed_dim: int = 16,
-        rng: np.random.Generator | None = None,
-        prefix: str = "taskenc",
+        *,
+        rng: np.random.Generator,
         dtype=np.float64,
     ):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dim = input_dim
         self.embed_dim = embed_dim
         self.dtype = dtype
         self.groups = [
             ParamGroup(
-                f"{prefix}.w1",
+                "taskenc.w1",
                 Tensor(rng.normal(0.0, 0.1, (input_dim, hidden_dim)).astype(dtype)),
             ),
-            ParamGroup(f"{prefix}.b1", Tensor(np.zeros(hidden_dim, dtype=dtype))),
+            ParamGroup("taskenc.b1", Tensor(np.zeros(hidden_dim, dtype=dtype))),
             ParamGroup(
-                f"{prefix}.w2",
+                "taskenc.w2",
                 Tensor(rng.normal(0.0, 0.1, (hidden_dim, embed_dim)).astype(dtype)),
             ),
-            ParamGroup(f"{prefix}.b2", Tensor(np.zeros(embed_dim, dtype=dtype))),
+            ParamGroup("taskenc.b2", Tensor(np.zeros(embed_dim, dtype=dtype))),
         ]
         self._w1, self._b1, self._w2, self._b2 = self.groups
 
@@ -160,6 +163,8 @@ class ContextProvider:
 
     def refresh(self, task_ids) -> None:
         for tid in task_ids:
+            if tid not in self.support:
+                raise InputError(f"no support trajectories for task {tid}")
             self.cache[tid] = task_context_for(
                 self.encoder, self.support[tid], self.n_chunks
             )
@@ -171,3 +176,23 @@ class ContextProvider:
 
     def context_matrix(self, task_ids) -> np.ndarray:
         return np.stack([self.get(t) for t in task_ids])
+
+
+def write_contexts(path, contexts: dict, task_ids) -> None:
+    """`contexts.tsv`: one line per task of ``task_ids`` that ``contexts``
+    holds, its id then its vector as exact repr floats, tab-separated."""
+    lines = []
+    for tid in task_ids:
+        if tid in contexts:
+            lines.append(tid + "\t" + "\t".join(repr(float(v)) for v in contexts[tid]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_contexts(path) -> tuple[list[str], np.ndarray]:
+    """The task ids and context vectors `write_contexts` wrote, in order."""
+    ids, rows = [], []
+    for line in Path(path).read_text().strip().split("\n"):
+        cells = line.split("\t")
+        ids.append(cells[0])
+        rows.append([float(c) for c in cells[1:]])
+    return ids, np.asarray(rows)

@@ -8,7 +8,8 @@ from cpdistill.cli import main
 from cpdistill.config import ProtocolConfig, load_config, save_config
 from cpdistill.continual import ProtocolRunner
 from cpdistill.metrics import MetricsMatrix
-from cpdistill.report import load_contexts, render_report
+from cpdistill.report import render_report
+from cpdistill.taskctx import load_contexts
 from cpdistill.teachers import read_trajectories, write_trajectories
 
 
@@ -173,3 +174,39 @@ def test_report_is_read_only(config_path, tmp_path, capsys):
     render_report(run_dir)
     for p, blob in before.items():
         assert p.read_bytes() == blob
+
+
+def test_eval_refuses_another_run_or_an_incomplete_stage(config_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(config_path), "--seed", "11",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    other = tmp_path / "finetune.json"
+    save_config(other, ProtocolConfig.from_dict(
+        {**load_config(config_path).to_dict(), "strategy": "finetune"}))
+    for config, seed, stage in ((config_path, "12", "2"), (other, "11", "2"),
+                                (config_path, "11", "3")):
+        assert main(["eval", "--config", str(config), "--seed", seed,
+                     "--out", str(run_dir), "--stage", stage]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "StateError" in captured.err
+
+
+def test_report_renders_the_newest_complete_stage(config_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(config_path), "--seed", "5",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert not (run_dir / "run.json").exists()
+    for k in (1, 2):
+        assert "counters" not in json.loads((run_dir / f"stage_{k}" / "state.json").read_text())
+
+    # state.json is written last: without it stage 2 is incomplete
+    (run_dir / "stage_2" / "state.json").unlink()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    report_dir = run_dir / "report"
+    assert (report_dir / "embeddings.tsv").read_bytes() == (
+        run_dir / "stage_1" / "contexts.tsv"
+    ).read_bytes()

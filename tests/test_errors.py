@@ -4,8 +4,15 @@ import ast
 import builtins
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cpdistill
 from cpdistill import errors
+from cpdistill.continual import DistillDataset
+from cpdistill.metrics import MetricsMatrix
+from cpdistill.taskctx import ContextProvider, TaskEncoder
+from cpdistill.teachers import SuiteConfig, TeacherPolicy, collect, make_task_stream
 
 SRC = Path(cpdistill.__file__).resolve().parent
 ERRORS = set(errors.__all__)
@@ -57,3 +64,20 @@ def test_every_raise_names_an_errors_class():
         name = _name(node.exc)
         assert name in ERRORS or (module, name) in ALLOWED, (
             f"{module}:{node.lineno} raises {name}")
+
+
+TASK = make_task_stream(SuiteConfig(), 1, 1, seed=2)[0][0]
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: MetricsMatrix().record(1, "nope", 0.5), "nope"),
+    (lambda: MetricsMatrix().value(1, "nope"), "nope"),
+    (lambda: MetricsMatrix(["a"], [1]).value(2, "a"), "stage 2"),
+    (lambda: DistillDataset(collect(TASK, TeacherPolicy(TASK), 1, base_seed=0), 20, ["a"]),
+     TASK.task_id),
+    (lambda: ContextProvider(TaskEncoder(8, rng=np.random.default_rng(0))).refresh(["nope"]),
+     "nope"),
+], ids=["record", "value", "value-stage", "dataset", "refresh"])
+def test_an_unknown_task_or_stage_raises_input_error(call, name):
+    with pytest.raises(errors.InputError, match=name):
+        call()
