@@ -1,9 +1,7 @@
 """Command-line surface.
 
-    cpdistill teach   --config c.json --seed 7 --out runs/teach [--stage K]
     cpdistill distill --config c.json --seed 7 --out runs/r0 [--strategy NAME] [--resume]
     cpdistill eval    --config c.json --seed 7 --out runs/r0 --stage K
-    cpdistill select  --input trajs.jsonl --m 5 [--strategy dpp] [--seed N] [--out DIR]
     cpdistill report  --out runs/r0
 
 `eval` rescores the stage-K checkpoint of the run in --out; it needs that
@@ -28,10 +26,8 @@ import sys
 from pathlib import Path
 
 from .config import ProtocolConfig, load_config
-from .continual import ProtocolRunner, run_protocol, write_audits
-from .replay import select_replay
+from .continual import ProtocolRunner, run_protocol
 from .report import render_report, summary_table
-from .teachers import read_trajectories, write_trajectories
 
 __all__ = ["main"]
 
@@ -55,10 +51,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, help="output directory")
 
-    teach = sub.add_parser("teach", help="collect teacher trajectories to files")
-    common(teach)
-    teach.add_argument("--stage", type=int, help="only this stage's tasks")
-
     distill = sub.add_parser("distill", help="run the staged distillation protocol")
     common(distill)
     distill.add_argument("--strategy", help="override the config strategy")
@@ -69,36 +61,9 @@ def _build_parser() -> _Parser:
     common(evalp)
     evalp.add_argument("--stage", type=int, required=True)
 
-    select = sub.add_parser("select", help="replay selection over a trajectory file")
-    select.add_argument("--input", type=Path, required=True, help="trajectory JSONL")
-    select.add_argument("--m", type=int, required=True, help="trajectories to keep")
-    select.add_argument("--strategy", default="dpp", help="dpp | ffs | random")
-    select.add_argument("--seed", type=int, default=0)
-    select.add_argument("--out", type=Path)
-    select.add_argument("--slice-len", type=int, default=20)
-
-    report = sub.add_parser("report", help="render the report for a finished run")
+    report = sub.add_parser("report", help="render the report of a finished or crashed run")
     report.add_argument("--out", type=Path, required=True, help="run directory")
     return parser
-
-
-def _cmd_teach(args) -> int:
-    """Write each task's teacher demonstrations, the ones `distill` trains on."""
-    config = load_config(args.config)
-    runner = ProtocolRunner(config, args.seed)
-    out = args.out or Path("teach")
-    stages = range(1, len(runner.stream) + 1) if args.stage is None else [args.stage]
-    written = []
-    for k in stages:
-        first = sum(len(specs) for specs in runner.stream[: k - 1])
-        for i, spec in enumerate(runner.stream[k - 1]):
-            trajs = runner.teacher_data(spec, k, first + i, config.episodes_per_task)
-            path = out / f"{spec.task_id}.jsonl"
-            write_trajectories(path, trajs)
-            written.append(path)
-    for path in written:
-        print(path)
-    return 0
 
 
 def _cmd_distill(args) -> int:
@@ -114,27 +79,10 @@ def _cmd_eval(args) -> int:
     """Score a stage checkpoint on the episodes the run evaluated it on."""
     runner = ProtocolRunner(load_config(args.config), args.seed, out_dir=args.out)
     runner.load_stage(args.stage)
-    rates = runner.stage_rates(runner.model, runner.provider.get, args.stage)
+    rates = runner.stage_rates(args.stage)
     print("task_id\tsuccess_rate")
     for task_id, rate in rates.items():
         print(f"{task_id}\t{rate}")
-    return 0
-
-
-def _cmd_select(args) -> int:
-    trajs = read_trajectories(args.input)
-    chosen, audit = select_replay(
-        trajs,
-        slice_len=args.slice_len,
-        m=args.m,
-        strategy=args.strategy,
-        seed=args.seed,
-    )
-    out = args.out or args.input.parent
-    out.mkdir(parents=True, exist_ok=True)
-    write_audits(out / "selection_audit.tsv", [audit])
-    for cid in audit.chosen_ids:
-        print(cid)
     return 0
 
 
@@ -146,10 +94,8 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "teach": _cmd_teach,
     "distill": _cmd_distill,
     "eval": _cmd_eval,
-    "select": _cmd_select,
     "report": _cmd_report,
 }
 

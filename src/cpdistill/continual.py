@@ -89,8 +89,7 @@ __all__ = [
 @dataclass
 class StageConfig:
     index: int
-    task_ids: list[str]
-    epochs: int = 2
+    epochs: int
 
     def __post_init__(self):
         if self.index < 1:
@@ -328,11 +327,7 @@ class ProtocolRunner:
 
     def stage_config(self, k: int) -> StageConfig:
         cfg = self.config
-        return StageConfig(
-            index=k,
-            task_ids=[s.task_id for s in self.stream[k - 1]],
-            epochs=cfg.epochs_stage1 if k == 1 else cfg.epochs_later,
-        )
+        return StageConfig(index=k, epochs=cfg.epochs_stage1 if k == 1 else cfg.epochs_later)
 
     # ------------------------------------------------------------------
 
@@ -361,7 +356,7 @@ class ProtocolRunner:
         self.stage_data = {}
         first = sum(len(earlier) for earlier in self.stream[: k - 1])
         for i, spec in enumerate(specs):
-            trajs = self.teacher_data(spec, k, first + i, self.config.episodes_per_task)
+            trajs = self.teacher_data(spec, k, first + i)
             self.stage_data[spec.task_id] = trajs
             self.provider.set_support(spec.task_id, trajs[: self.config.support_episodes])
 
@@ -409,7 +404,7 @@ class ProtocolRunner:
         self.provider.refresh(current_ids)
 
         # 5. evaluate everything seen so far
-        rates = self.stage_rates(self.model, self.provider.get, k)
+        rates = self.stage_rates(k)
         for task_id, rate in rates.items():
             self.matrix.record(k, task_id, rate)
 
@@ -450,26 +445,24 @@ class ProtocolRunner:
         return rates
 
     # ------------------------------------------------------------------
-    # the seeded collection and evaluation that `cpdistill teach` and
-    # `cpdistill eval` repeat
+    # seeded collection and evaluation; `cpdistill eval` rescores a loaded
+    # stage through `stage_rates`
 
-    def teacher_data(
-        self, spec: TaskSpec, k: int, ordinal: int, episodes: int
-    ) -> list[Trajectory]:
+    def teacher_data(self, spec: TaskSpec, k: int, ordinal: int) -> list[Trajectory]:
         """Stage k's teacher demonstrations of ``spec``, the task at position
         ``ordinal`` (from 0) of the whole stream."""
         return collect(
             spec,
             TeacherPolicy(spec),
-            episodes,
+            self.config.episodes_per_task,
             base_seed=_int_seed(self.seed, k, _COLLECT, ordinal),
             noise_std=self.config.teacher_noise,
         )
 
-    def stage_rates(self, model: StudentModel, context, k: int) -> dict[str, float]:
-        """Stage k's row of the metrics matrix: the success of ``model``, the
-        stage-k student, on every task seen by stage k, under the context
-        ``context(task_id)`` returns, each on the episodes stage k evaluates
+    def stage_rates(self, k: int) -> dict[str, float]:
+        """Stage k's row of the metrics matrix: the success of ``self.model``,
+        the stage-k student, on every task seen by stage k, under the context
+        ``self.provider`` holds for it, each on the episodes stage k evaluates
         it on. A fresh-model strategy's student is trained on the stage's own
         tasks only, so an earlier task keeps the rate ``self.matrix`` holds
         from the stage that introduced it."""
@@ -482,7 +475,7 @@ class ProtocolRunner:
                 rates[tid] = self.matrix.value(intro, tid)
             else:
                 rates[tid] = rollout_success_batch(
-                    model, spec, context(tid), self.config.eval_episodes,
+                    self.model, spec, self.provider.get(tid), self.config.eval_episodes,
                     seed=_int_seed(self.seed, k, _EVAL, idx),
                 )
         return rates

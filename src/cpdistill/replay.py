@@ -210,13 +210,10 @@ def select_replay(
     chosen = [trajs[i] for i in idx]
     audit = SelectionAudit(
         stage=stage,
-        task_id=getattr(trajs[0], "task_id", "?"),
+        task_id=trajs[0].task_id,
         strategy=strategy,
         seed=seed,
-        chosen_ids=[
-            f"{getattr(trajs[i], 'task_id', '?')}:{getattr(trajs[i], 'seed', '?')}"
-            for i in idx
-        ],
+        chosen_ids=[f"{trajs[i].task_id}:{trajs[i].seed}" for i in idx],
         log_det=log_det,
     )
     return chosen, audit

@@ -1,9 +1,10 @@
 """Read-only rendering of run artifacts: the Acc/BWT table, per-layer
 routing-load histograms, the task-embedding dump and its 2-D PCA
 projection, and a config echo. The table comes from the run's
-`metrics.tsv`, the rest from its newest complete stage (see
-`cpdistill.continual` for the run-directory layout). Output is tabular
-text; plotting is left to external tooling."""
+`metrics.tsv`, or from its newest complete stage's when a crash left none,
+and the rest from that stage (see `cpdistill.continual` for the
+run-directory layout). Output is tabular text; plotting is left to external
+tooling."""
 from __future__ import annotations
 
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 
 from .config import STRATEGY_TRAITS
 from .continual import completed_stages
+from .errors import StateError
 from .metrics import MetricsMatrix, accuracy, bwt, pca_project
 from .taskctx import load_contexts
 
@@ -31,8 +33,17 @@ def summary_table(matrix: MetricsMatrix, strategy: str | None = None) -> str:
 
 
 def render_report(run_dir, report_dir=None) -> Path:
-    """Render a report directory from a finished (or partial) run."""
+    """Render a report directory from a finished (or partial) run. Raises
+    `StateError` when the run has neither a `metrics.tsv` nor a complete
+    stage."""
     run_dir = Path(run_dir)
+    done = completed_stages(run_dir)
+    last = run_dir / f"stage_{done[-1]}" if done else None
+    metrics = run_dir / "metrics.tsv"
+    if not metrics.exists():
+        if last is None:
+            raise StateError(f"{run_dir} has no metrics.tsv and no complete stage")
+        metrics = last / "metrics.tsv"
     report_dir = Path(report_dir) if report_dir else run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 
@@ -43,14 +54,11 @@ def render_report(run_dir, report_dir=None) -> Path:
         strategy = config.get("strategy")
         (report_dir / "config.json").write_text(json.dumps(config, indent=1, sort_keys=True))
 
-    matrix = MetricsMatrix.load(run_dir / "metrics.tsv")
-    shutil.copyfile(run_dir / "metrics.tsv", report_dir / "metrics.tsv")
-    (report_dir / "summary.tsv").write_text(summary_table(matrix, strategy))
+    shutil.copyfile(metrics, report_dir / "metrics.tsv")
+    (report_dir / "summary.tsv").write_text(summary_table(MetricsMatrix.load(metrics), strategy))
 
-    done = completed_stages(run_dir)
-    if not done:
+    if last is None:
         return report_dir
-    last = run_dir / f"stage_{done[-1]}"
     shutil.copyfile(last / "contexts.tsv", report_dir / "embeddings.tsv")
     ids, vecs = load_contexts(last / "contexts.tsv")
     if len(ids) >= 2:

@@ -154,10 +154,10 @@ def test_teacher_calls_made_by_the_checks():
 
 
 def test_teacher_data_reaches_collect_through_module_globals(monkeypatch):
-    cfg = ProtocolConfig(n_stages=1, tasks_per_stage=1, episodes_per_task=10, replay_m=0)
+    cfg = ProtocolConfig(n_stages=1, tasks_per_stage=1, episodes_per_task=3, replay_m=0)
     runner = continual.ProtocolRunner(cfg, seed=1)
     calls = []
     real = continual.collect
     monkeypatch.setattr(continual, "collect", lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
-    trajs = runner.teacher_data(runner.stream[0][0], 1, 0, 3)
+    trajs = runner.teacher_data(runner.stream[0][0], 1, 0)
     assert calls == [3] and len(trajs) == 3

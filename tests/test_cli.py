@@ -4,13 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpdistill import cli
 from cpdistill.cli import main
 from cpdistill.config import ProtocolConfig, load_config, save_config
-from cpdistill.continual import ProtocolRunner
 from cpdistill.metrics import MetricsMatrix
 from cpdistill.report import render_report
 from cpdistill.taskctx import load_contexts
-from cpdistill.teachers import read_trajectories, write_trajectories
 
 
 @pytest.fixture()
@@ -38,7 +37,15 @@ def test_usage_errors_exit_1(capsys):
     assert main(["unknown-sub"]) == 1
     assert main(["distill", "--nope"]) == 1
     assert main(["distill"]) == 1  # --config is required
-    capsys.readouterr()
+    for gone in ("teach", "select"):
+        assert main([gone, "--config", "c.json"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_docstring_usage_names_every_command():
+    usage = [line.split()[1] for line in cli.__doc__.splitlines()
+             if line.startswith("    cpdistill ")]
+    assert usage == list(cli._COMMANDS)
 
 
 def test_runtime_error_exit_2(tmp_path, capsys):
@@ -58,46 +65,6 @@ def test_distill_deterministic_files(config_path, tmp_path, capsys):
     assert (a / "stage_2" / "contexts.tsv").read_bytes() == (
         b / "stage_2" / "contexts.tsv"
     ).read_bytes()
-
-
-def test_teach_then_select_roundtrip(config_path, tmp_path, capsys):
-    teach_dir = tmp_path / "teach"
-    assert main([
-        "teach", "--config", str(config_path), "--seed", "3",
-        "--out", str(teach_dir), "--stage", "1",
-    ]) == 0
-    files = sorted(teach_dir.glob("*.jsonl"))
-    assert len(files) == 2
-    trajs = read_trajectories(files[0])
-    assert len(trajs) == 10
-    capsys.readouterr()
-
-    out = tmp_path / "sel"
-    assert main([
-        "select", "--input", str(files[0]), "--m", "2",
-        "--strategy", "dpp", "--seed", "5", "--out", str(out),
-    ]) == 0
-    printed = capsys.readouterr().out.strip().split("\n")
-    assert len(printed) == 2
-    audit = (out / "selection_audit.tsv").read_text().strip().split("\n")
-    assert audit[0].startswith("stage\ttask_id")
-    assert len(audit) == 2
-    assert len(audit[1].split("\t")[5].split(";")) == 2
-
-
-def test_teach_writes_the_training_data(config_path, tmp_path, capsys):
-    teach_dir = tmp_path / "teach"
-    assert main(["teach", "--config", str(config_path), "--seed", "4",
-                 "--out", str(teach_dir), "--stage", "2"]) == 0
-    capsys.readouterr()
-    runner = ProtocolRunner(load_config(config_path), 4)
-    for k in (1, 2):
-        runner.run_stage(runner.stage_config(k), runner.stream[k - 1])
-    assert sorted(p.stem for p in teach_dir.glob("*.jsonl")) == sorted(runner.stage_data)
-    for task_id, trajs in runner.stage_data.items():
-        write_trajectories(tmp_path / "collected.jsonl", trajs)
-        expected = (tmp_path / "collected.jsonl").read_bytes()
-        assert (teach_dir / f"{task_id}.jsonl").read_bytes() == expected, task_id
 
 
 def test_eval_and_report(config_path, tmp_path, capsys):
@@ -210,3 +177,21 @@ def test_report_renders_the_newest_complete_stage(config_path, tmp_path, capsys)
     assert (report_dir / "embeddings.tsv").read_bytes() == (
         run_dir / "stage_1" / "contexts.tsv"
     ).read_bytes()
+
+    # a crash leaves no top-level metrics.tsv: the table comes from the
+    # newest complete stage
+    (run_dir / "metrics.tsv").unlink()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("stage\tacc\tbwt\n1\t")
+    assert "\n2\t" not in printed
+    assert (report_dir / "metrics.tsv").read_bytes() == (
+        run_dir / "stage_1" / "metrics.tsv"
+    ).read_bytes()
+
+    # with neither the run's table nor a complete stage, a named error
+    (run_dir / "stage_1" / "state.json").unlink()
+    assert main(["report", "--out", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "StateError" in captured.err

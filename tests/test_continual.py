@@ -206,10 +206,10 @@ def test_dataset_buckets_and_full_pass():
 
 def test_stage_config_validation():
     with pytest.raises(ValueError):
-        StageConfig(index=0, task_ids=[])
+        StageConfig(index=0, epochs=1)
     with pytest.raises(ValueError):
-        StageConfig(index=1, task_ids=[], epochs=-1)
-    assert StageConfig(index=1, task_ids=["a"]).epochs == 2
+        StageConfig(index=1, epochs=-1)
+    assert StageConfig(index=1, epochs=0).epochs == 0
 
 
 def test_config_rejects_removed_knobs():
@@ -250,7 +250,7 @@ def test_epochs_zero_debug_mode():
     for name, snap in before.items():
         assert np.array_equal(runner.model.params[name].tensor.data, snap), name
     assert runner.buffer.size == cfg.replay_m * cfg.tasks_per_stage
-    assert set(rates) == set(runner.stage_config(1).task_ids)
+    assert set(rates) == {s.task_id for s in runner.stream[0]}
 
 
 def test_ours_expands_and_finetune_does_not():

@@ -1,4 +1,5 @@
-"""Package-level behaviour: the BLAS thread defaults set on import."""
+"""Package-level behaviour: the BLAS thread defaults set on import, and the
+`python -m cpdistill.cli` entry point."""
 import json
 import os
 import subprocess
@@ -15,12 +16,17 @@ PROBE = (
 )
 
 
-def thread_env(**preset):
+def run_python(*args, **preset):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update(preset)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def thread_env(**preset):
+    done = run_python("-c", PROBE, **preset)
+    assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
@@ -32,3 +38,9 @@ def test_user_thread_count_wins():
     got = thread_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3")
     assert got == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3",
                    "MKL_NUM_THREADS": "1", "BLIS_NUM_THREADS": "1"}
+
+
+def test_module_entry_point_lists_the_commands():
+    done = run_python("-m", "cpdistill.cli")
+    assert done.returncode == 1
+    assert "{distill,eval,report}" in done.stderr
