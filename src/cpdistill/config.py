@@ -29,10 +29,10 @@ Top-level keys
                         experts_per_layer, mlp_multiplier, top_k, seq_len,
                         task_embed_dim, n_heads, stats_chunks,
                         encoder_hidden, dtype)
-    suite               SuiteConfig fields (obs_dim, action_dim, horizon,
-                        success_threshold, start_range, goal_ring,
-                        goal_radius, max_tasks); the horizon must be a
-                        multiple of the model's seq_len
+    suite               SuiteConfig fields (horizon, success_threshold,
+                        start_range, goal_ring, goal_radius, max_tasks);
+                        the horizon must be a multiple of the model's
+                        seq_len
     lambda_schedule     start / step_decrement / floor
     expansion           experts_added / init_noise_std / cold_start_bias /
                         gate_col_noise_std
@@ -50,7 +50,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .model import ExpansionConfig, ModelConfig
 from .replay import STRATEGIES as REPLAY_STRATEGIES
-from .teachers import SuiteConfig
+from .teachers import ACTION_DIM, OBS_DIM, SuiteConfig
 
 __all__ = [
     "LambdaSchedule", "StrategyTraits", "STRATEGY_TRAITS", "STRATEGIES", "ProtocolConfig",
@@ -150,9 +150,12 @@ class ProtocolConfig:
         if "goal_ring" in suite:
             suite["goal_ring"] = tuple(suite["goal_ring"])
         self._suite = _build(SuiteConfig, "suite", suite)
-        self._model = _build(ModelConfig, "model", {
-            "obs_dim": self._suite.obs_dim, "action_dim": self._suite.action_dim, **self.model,
-        })
+        for key in ("obs_dim", "action_dim"):
+            if key in self.model:
+                raise ConfigError(f"model {key} is fixed by the point-mass suite; do not set it")
+        self._model = _build(
+            ModelConfig, "model", {**self.model, "obs_dim": OBS_DIM, "action_dim": ACTION_DIM}
+        )
         self._schedule = _build(LambdaSchedule, "lambda_schedule", self.lambda_schedule)
         self._expansion = _build(ExpansionConfig, "expansion", self.expansion)
         if self._suite.horizon % self._model.seq_len:

@@ -43,6 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import seeds
 from . import tensor as T
 from .checkpoint import load_groups, load_optimizer, save_groups, save_optimizer
 from .config import STRATEGY_TRAITS, ProtocolConfig, save_config
@@ -55,6 +56,7 @@ from .model import (
 )
 from .optim import AdamW, ParamGroup
 from .replay import ReplayBuffer, SelectionAudit, select_replay, update_buffer
+from .seeds import EVAL as _EVAL, int_seed as _int_seed  # noqa: F401 (perfbench/desk_success.py)
 from .taskctx import ContextProvider, ContrastiveBatch, infonce_loss, traj_stats
 from .taskctx import load_contexts, write_contexts
 from .teachers import (
@@ -103,20 +105,6 @@ class EWCState:
     anchors: dict[str, np.ndarray]
     fisher: dict[str, np.ndarray]
     lam: float = 100.0
-
-
-# ---------------------------------------------------------------------------
-# deterministic seed derivation (stage-scoped so resumed runs are bit-equal)
-
-_COLLECT, _TRAIN, _SELECT, _EXPAND, _EVAL, _INIT, _FISHER = 1, 2, 3, 4, 5, 6, 7
-
-
-def _rng(*key) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=tuple(key)))
-
-
-def _int_seed(*key) -> int:
-    return int(np.random.SeedSequence(entropy=tuple(key)).generate_state(1)[0] & 0x7FFFFFFF)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +300,11 @@ class ProtocolRunner:
         self.ewc_state: EWCState | None = None
         self.prev_model: StudentModel | None = None
         self.stage_data: dict[str, list[Trajectory]] = {}
-        self._fresh_student(_INIT, 0)
+        self._fresh_student(0)
 
-    def _fresh_student(self, tag: int, stage: int) -> None:
-        self.model = StudentModel(self.model_cfg, seed=_int_seed(self.seed, stage, tag))
+    def _fresh_student(self, stage: int) -> None:
+        seed = seeds.int_seed(self.seed, stage, seeds.INIT)
+        self.model = StudentModel(self.model_cfg, seed=seed)
         self.optimizer = AdamW(
             self.model.groups(),
             lr=self.config.lr,
@@ -347,7 +336,7 @@ class ProtocolRunner:
         k = stage.index
         traits = self.traits
         if traits.fresh_model and k >= 2:
-            self._fresh_student(_INIT, k)
+            self._fresh_student(k)
 
         for spec in specs:
             self.matrix.add_task(spec.task_id, k)
@@ -362,9 +351,8 @@ class ProtocolRunner:
 
         # 2. expansion + phase-1 masks
         if traits.expand_and_mask and k >= 2:
-            expand_experts(
-                self.model, self.config.expansion_config(), seed=_int_seed(self.seed, k, _EXPAND)
-            )
+            seed = seeds.int_seed(self.seed, k, seeds.EXPAND)
+            expand_experts(self.model, self.config.expansion_config(), seed=seed)
             self.optimizer.groups = self.model.groups()
             apply_mask_schedule(self.model, k, 1)
 
@@ -383,7 +371,7 @@ class ProtocolRunner:
         nce_labels = np.array([data_task_ids.index(t.task_id) for t in train_trajs])
 
         # 4. epochs
-        rng = _rng(self.seed, k, _TRAIN)
+        rng = seeds.rng(self.seed, k, seeds.TRAIN)
         current_ids = [s.task_id for s in specs]
         steps = 0
         capped = False
@@ -420,7 +408,7 @@ class ProtocolRunner:
                     slice_len=self.model_cfg.seq_len,
                     m=self.config.replay_m,
                     strategy=self.config.replay_strategy,
-                    seed=_int_seed(self.seed, k, _SELECT, specs.index(spec)),
+                    seed=seeds.int_seed(self.seed, k, seeds.SELECT, specs.index(spec)),
                     stage=k,
                 )
                 update_buffer(self.buffer, len(pool), spec.task_id, chosen)
@@ -429,7 +417,8 @@ class ProtocolRunner:
         # 7. strategy state for the next stage, when one follows
         has_next = k < self.config.n_stages
         if traits.ewc and has_next:
-            fisher_batches = self._fisher_batches(dataset, rng=_rng(self.seed, k, _FISHER))
+            fisher_rng = seeds.rng(self.seed, k, seeds.FISHER)
+            fisher_batches = self._fisher_batches(dataset, rng=fisher_rng)
             fisher = estimate_fisher(
                 self.model, fisher_batches, lam=self.schedule.value(self.global_step)
             )
@@ -455,7 +444,7 @@ class ProtocolRunner:
             spec,
             TeacherPolicy(spec),
             self.config.episodes_per_task,
-            base_seed=_int_seed(self.seed, k, _COLLECT, ordinal),
+            base_seed=seeds.int_seed(self.seed, k, seeds.COLLECT, ordinal),
             noise_std=self.config.teacher_noise,
         )
 
@@ -476,7 +465,7 @@ class ProtocolRunner:
             else:
                 rates[tid] = rollout_success_batch(
                     self.model, spec, self.provider.get(tid), self.config.eval_episodes,
-                    seed=_int_seed(self.seed, k, _EVAL, idx),
+                    seed=seeds.int_seed(self.seed, k, seeds.EVAL, idx),
                 )
         return rates
 

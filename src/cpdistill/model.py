@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import seeds
 from . import tensor as T
 from .checkpoint import load_groups, save_groups
 from .errors import ConfigError, DimensionError, InputError, StateError
@@ -236,7 +237,7 @@ class StudentModel:
         # first expert index considered "new" in the current stage, per layer
         self.new_expert_start = list(self.expert_counts)
         self.params: dict[str, ParamGroup] = {}
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xC0)))
+        rng = seeds.rng(seed, seeds.MODEL)
         d = config.hidden_dim
         self._add("embed.w", rng.normal(0.0, 0.02, (config.input_width, d)))
         self._add("embed.b", np.zeros(d))
@@ -494,7 +495,7 @@ def expand_experts(
     (optimizer state for them starts at zero)."""
     if cfg.experts_added == 0:
         return []
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xE)))
+    rng = seeds.rng(seed, seeds.EXPERTS)
     new_groups: list[ParamGroup] = []
     for l, layer in enumerate(model.layers):
         n_old = layer.n_experts

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import seeds
 from .errors import ConfigError, InputError
 
 __all__ = [
@@ -136,7 +137,7 @@ def select(
     if not 1 <= m <= n:
         raise ConfigError(f"cannot select m={m} from a pool of {n}")
     if strategy == "random":
-        rng = np.random.default_rng(seed)
+        rng = seeds.rng(seed)
         return [int(i) for i in rng.choice(n, size=m, replace=False)]
     if strategy == "ffs":
         return _ffs(features, m)

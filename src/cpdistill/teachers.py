@@ -26,9 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import seeds as seeding  # `seeds` names episode seeds here
 from .errors import ConfigError
 
 __all__ = [
+    "OBS_DIM",
+    "ACTION_DIM",
     "SuiteConfig",
     "TaskSpec",
     "Trajectory",
@@ -66,10 +69,12 @@ FAMILIES: dict[str, dict] = {
 }
 
 
+# an observation is (position, goal) and an action a 2-D move
+OBS_DIM, ACTION_DIM = 4, 2
+
+
 @dataclass
 class SuiteConfig:
-    obs_dim: int = 4
-    action_dim: int = 2
     horizon: int = 40
     success_threshold: float = 0.05
     start_range: float = 0.35       # start positions uniform in [-r, r]^2
@@ -78,6 +83,8 @@ class SuiteConfig:
     max_tasks: int = 50
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if self.success_threshold <= 0:
             raise ConfigError("success threshold must be positive")
 
@@ -93,8 +100,6 @@ class TaskSpec:
     detour: np.ndarray
     target_mode: str
     kappa: float
-    obs_dim: int = 4
-    action_dim: int = 2
     horizon: int = 40
     success_threshold: float = 0.05
     start_range: float = 0.35
@@ -104,8 +109,8 @@ class TaskSpec:
 class Trajectory:
     task_id: str
     seed: int
-    states: np.ndarray   # (H+1, obs_dim)
-    actions: np.ndarray  # (H, action_dim), clipped to [-1, 1]
+    states: np.ndarray   # (H+1, OBS_DIM)
+    actions: np.ndarray  # (H, ACTION_DIM), clipped to [-1, 1]
     rewards: np.ndarray  # (H,)
     success: bool
 
@@ -131,7 +136,7 @@ def make_task_stream(
             f"{n_stages} stages x {tasks_per_stage} tasks oversubscribes the "
             f"suite ({suite.max_tasks} tasks max)"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x57)))
+    rng = seeding.rng(seed, seeding.STREAM)
     names = list(FAMILIES)
     order = [names[i] for i in rng.permutation(len(names))]
     specs = []
@@ -152,8 +157,6 @@ def make_task_stream(
                 detour=np.asarray(fam["detour"], dtype=np.float64),
                 target_mode=fam["target_mode"],
                 kappa=float(fam["kappa"]),
-                obs_dim=suite.obs_dim,
-                action_dim=suite.action_dim,
                 horizon=suite.horizon,
                 success_threshold=suite.success_threshold,
                 start_range=suite.start_range,
@@ -185,7 +188,7 @@ def task_target(spec: TaskSpec, goals: np.ndarray) -> np.ndarray:
 
 def initial_state(spec: TaskSpec, seed: int) -> np.ndarray:
     """Seeded episode initialization: start position, then goal jitter."""
-    rng = np.random.default_rng(seed)
+    rng = seeding.rng(seed)
     pos = rng.uniform(-spec.start_range, spec.start_range, 2)
     jitter_angle = rng.uniform(0.0, 2 * np.pi)
     jitter_r = spec.goal_radius * np.sqrt(rng.uniform())
@@ -240,24 +243,25 @@ def rollout(
     """Step one episode per seed, all in lockstep.
 
     Episode i starts at ``initial_state(spec, seeds[i])`` and draws its
-    action noise from its own generator, ``default_rng((seeds[i], 0xA0))``,
-    so it does not depend on the other episodes. ``policy`` is called once
-    per step with the (n, t+1, obs_dim) state history of all n episodes and
-    returns their (n, action_dim) actions. Returns states (n, H+1, obs_dim),
-    clipped noisy actions (n, H, action_dim), rewards (n, H) and whether
-    each episode ended within the success threshold of its target."""
+    action noise from its own generator, keyed ``(seeds[i], NOISE)`` in the
+    `cpdistill.seeds` table, so it does not depend on the other episodes.
+    ``policy`` is called once per step with the (n, t+1, OBS_DIM) state
+    history of all n episodes and returns their (n, ACTION_DIM) actions.
+    Returns states (n, H+1, OBS_DIM), clipped noisy actions (n, H,
+    ACTION_DIM), rewards (n, H) and whether each episode ended within the
+    success threshold of its target."""
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("a rollout needs at least one episode")
     n, horizon = len(seeds), spec.horizon
-    states = np.empty((n, horizon + 1, spec.obs_dim))
+    states = np.empty((n, horizon + 1, OBS_DIM))
     states[:, 0] = [initial_state(spec, seed) for seed in seeds]
-    actions = np.empty((n, horizon, spec.action_dim))
+    actions = np.empty((n, horizon, ACTION_DIM))
     rewards = np.empty((n, horizon))
     noise = None
     if noise_std > 0:
         noise = np.stack([
-            np.random.default_rng((seed, 0xA0)).normal(0.0, noise_std, (horizon, spec.action_dim))
+            seeding.rng(seed, seeding.NOISE).normal(0.0, noise_std, (horizon, ACTION_DIM))
             for seed in seeds
         ])
     for t in range(horizon):
@@ -278,7 +282,7 @@ def collect(
     base_seed: int,
     noise_std: float = 0.0,
 ) -> list[Trajectory]:
-    """Rollouts of ``teacher``, a controller from (n, obs_dim) states to
+    """Rollouts of ``teacher``, a controller from (n, OBS_DIM) states to
     actions, with per-episode seeds base_seed + i, in episode order."""
     seeds = range(base_seed, base_seed + n_episodes)
     states, actions, rewards, success = rollout(

@@ -74,6 +74,8 @@ def test_call_forms_used_by_the_benchmark():
     runner = object()
     batch = SimpleNamespace(length=2, windows=np.zeros((1, 2, 4)))
     assert binds(continual.ProtocolRunner._train_step, runner, batch, None, False, None, None, None)
+    assert binds(continual.ProtocolRunner.stage_config, runner, 1)
+    assert binds(continual.ProtocolRunner.run_stage, runner, "stage", "specs")
     assert binds(continual.rollout_success_batch, "model", "spec", "z", 4, 7)
     assert binds(continual.rollout_success_batch, "model", "spec", "z", 4, seed=7)
     assert binds(continual.kl_penalty, "new", "old", "windows", "contexts", 1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpdistill import tensor as T
-from cpdistill.config import LambdaSchedule, ProtocolConfig
+from cpdistill.config import STRATEGIES, LambdaSchedule, ProtocolConfig
 from cpdistill.continual import (
     DistillDataset,
     EWCState,
@@ -230,6 +230,12 @@ def test_config_rejects_removed_knobs():
     (dict(eval_episodes=0), "eval_episodes"),
     (dict(epochs_stage1=-1), "epochs_stage1"),
     (dict(replay_strategy="dpp_exact"), "replay_strategy"),
+    (dict(suite={"obs_dim": 6}), "obs_dim"),
+    (dict(suite={"action_dim": 3}), "action_dim"),
+    (dict(suite={"horizon": 0}), "horizon"),
+    (dict(suite={"horizon": -20}), "horizon"),
+    (dict(model={"obs_dim": 5}), "obs_dim"),
+    (dict(model={"action_dim": 3}), "action_dim"),
 ])
 def test_config_rejects_bad_values_at_construction(over, key):
     with pytest.raises(ConfigError, match=key):
@@ -341,6 +347,27 @@ def test_strategy_roster_runs():
     assert set(rates) == {
         "ours", "finetune", "ewc", "kl", "replay_only", "expert_only", "independent"
     }
+
+
+def test_stage_1_does_not_depend_on_the_strategy(tmp_path):
+    # no seed key holds the strategy, and every strategy trains stage 1 alike;
+    # what differs is written after training
+    after_training = {"state.json", "buffer.jsonl", "audits.tsv", "fisher"}
+    files = {}
+    for strategy in STRATEGIES:
+        runner = ProtocolRunner(tiny_protocol(strategy=strategy), seed=11,
+                                out_dir=tmp_path / strategy)
+        runner.run_stage(runner.stage_config(1), runner.stream[0])
+        stage = tmp_path / strategy / "stage_1"
+        files[strategy] = {
+            p.relative_to(stage).as_posix(): p.read_bytes() for p in stage.rglob("*")
+            if p.is_file() and not after_training & set(p.relative_to(stage).parts)
+        }
+    ours = files.pop("ours")
+    assert {"model/params.bin", "optimizer/params.bin", "metrics.tsv", "contexts.tsv"} <= set(ours)
+    for strategy, got in files.items():
+        differ = sorted(n for n in ours.keys() | got.keys() if ours.get(n) != got.get(n))
+        assert differ == [], strategy
 
 
 def test_lambda_uses_cumulative_step():

@@ -1,5 +1,5 @@
-"""Package-level behaviour: the BLAS thread defaults set on import, and the
-`python -m cpdistill.cli` entry point."""
+"""Package-level behaviour: the BLAS thread defaults set on import, the
+`python -m cpdistill.cli` entry point, and the benchmark's desk script."""
 import json
 import os
 import subprocess
@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 PROBE = (
     "import json, os, sys; import cpdistill; "
@@ -44,3 +45,9 @@ def test_module_entry_point_lists_the_commands():
     done = run_python("-m", "cpdistill.cli")
     assert done.returncode == 1
     assert "{distill,eval,report}" in done.stderr
+
+
+def test_desk_script_imports_what_it_needs():
+    done = run_python(str(ROOT / "perfbench" / "desk_success.py"), "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--seed" in done.stdout

@@ -7,7 +7,9 @@ import pytest
 from cpdistill.continual import rollout_success_batch
 from cpdistill.errors import ConfigError
 from cpdistill.teachers import (
+    ACTION_DIM,
     FAMILIES,
+    OBS_DIM,
     SuiteConfig,
     TeacherPolicy,
     collect,
@@ -89,7 +91,7 @@ def reference_episode(spec, policy, seed, noise_std=0.0):
     for _ in range(spec.horizon):
         action = np.asarray(policy(np.asarray(states)), dtype=np.float64)
         if noise_rng is not None:
-            action = action + noise_rng.normal(0.0, noise_std, spec.action_dim)
+            action = action + noise_rng.normal(0.0, noise_std, ACTION_DIM)
         action = np.clip(action, -1.0, 1.0)
         state, reward = reference_step(spec, state, action)
         states.append(state)
@@ -225,8 +227,8 @@ def test_trajectory_invariants():
     cfg = suite()
     for task in flat(stream_tasks())[:4]:
         for traj in collect(task, TeacherPolicy(task), 3, base_seed=7, noise_std=0.5):
-            assert traj.states.shape == (cfg.horizon + 1, cfg.obs_dim)
-            assert traj.actions.shape == (cfg.horizon, cfg.action_dim)
+            assert traj.states.shape == (cfg.horizon + 1, OBS_DIM)
+            assert traj.actions.shape == (cfg.horizon, ACTION_DIM)
             assert traj.rewards.shape == (cfg.horizon,)
             assert np.all(np.abs(traj.actions) <= 1.0)
             assert np.isfinite(traj.states).all()
