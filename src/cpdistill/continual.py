@@ -29,15 +29,32 @@ Run directory (``out_dir``)
       routing_layer*.tsv    per-layer expert loads on a fixed probe
       state.json            stage, strategy, seed, global step, distill count
 
-A stage writes ``state.json`` last, so a stage is complete when it exists
-(`completed_stages`). `ProtocolRunner.load_stage` is the one reader of a
-stage directory; resume and ``cpdistill eval`` restore through it, and
-``cpdistill report`` picks its stage with `completed_stages`.
+Stage lifecycle
+    `ProtocolRunner.run_stage` runs stage k in two parts. `train_stage`
+    takes the student (a fresh one per stage for a fresh-model strategy),
+    collects teacher data, expands experts and sets the masks (from stage
+    2), trains on the stage's data plus the replay buffer and evaluates
+    every task seen. At stage 1 it reads no strategy trait: the buffer is
+    still empty and no penalty state exists, so every strategy trains the
+    same stage-1 student. `close_stage` then selects replay from the
+    stage's teacher data, builds the next stage's EWC or KL state when a
+    stage follows, and writes ``stage_k/``, ``state.json`` last.
+
+A stage is complete when its ``state.json`` exists (`completed_stages`).
+`ProtocolRunner.load_stage` is the one reader of a stage directory; resume
+and ``cpdistill eval`` restore through it, and ``cpdistill report`` picks
+its stage with `completed_stages`. It restores through the methods a
+straight run uses: `_adopt` takes the loaded student and optimizer, as
+`_fresh_student` takes a new one, with an empty context cache that the
+stage's ``contexts.tsv`` then fills; `_carry` builds the EWC anchors from
+the saved ``fisher/`` and the KL snapshot, as `close_stage` builds them from
+the Fisher it has just estimated.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -303,16 +320,17 @@ class ProtocolRunner:
         self._fresh_student(0)
 
     def _fresh_student(self, stage: int) -> None:
-        seed = seeds.int_seed(self.seed, stage, seeds.INIT)
-        self.model = StudentModel(self.model_cfg, seed=seed)
-        self.optimizer = AdamW(
-            self.model.groups(),
-            lr=self.config.lr,
-            weight_decay=self.config.weight_decay,
+        model = StudentModel(self.model_cfg, seed=seeds.int_seed(self.seed, stage, seeds.INIT))
+        self._adopt(
+            model, AdamW(model.groups(), lr=self.config.lr, weight_decay=self.config.weight_decay)
         )
-        self.provider = ContextProvider(
-            self.model.encoder, n_chunks=self.model_cfg.stats_chunks
-        )
+
+    def _adopt(self, model: StudentModel, optimizer: AdamW) -> None:
+        """Make ``model``, stepped by ``optimizer``, the runner's student,
+        with an empty context cache over its task encoder."""
+        self.model = model
+        self.optimizer = optimizer
+        self.provider = ContextProvider(model.encoder, n_chunks=self.model_cfg.stats_chunks)
 
     def stage_config(self, k: int) -> StageConfig:
         cfg = self.config
@@ -333,9 +351,20 @@ class ProtocolRunner:
         return self.matrix
 
     def run_stage(self, stage: StageConfig, specs: list[TaskSpec]) -> dict[str, float]:
+        """Train and close stage ``stage.index`` on ``specs``; its metrics row."""
+        rates, dataset = self.train_stage(stage, specs)
+        self.close_stage(stage.index, dataset)
+        return rates
+
+    def train_stage(
+        self, stage: StageConfig, specs: list[TaskSpec]
+    ) -> tuple[dict[str, float], DistillDataset]:
+        """Stage k up to its metrics row: the student (a fresh one for a
+        fresh-model strategy), teacher data, expansion and masks, the epochs
+        over the stage's data plus the replay buffer, and evaluation. Returns
+        the row and the training pool. At stage 1 it reads no strategy trait."""
         k = stage.index
-        traits = self.traits
-        if traits.fresh_model and k >= 2:
+        if k >= 2 and self.traits.fresh_model:
             self._fresh_student(k)
 
         for spec in specs:
@@ -350,16 +379,18 @@ class ProtocolRunner:
             self.provider.set_support(spec.task_id, trajs[: self.config.support_episodes])
 
         # 2. expansion + phase-1 masks
-        if traits.expand_and_mask and k >= 2:
+        masked = k >= 2 and self.traits.expand_and_mask
+        if masked:
             seed = seeds.int_seed(self.seed, k, seeds.EXPAND)
             expand_experts(self.model, self.config.expansion_config(), seed=seed)
             self.optimizer.groups = self.model.groups()
             apply_mask_schedule(self.model, k, 1)
 
-        # 3. training pool: current distill data plus the whole replay buffer
-        train_trajs = [t for spec in specs for t in self.stage_data[spec.task_id]]
-        if traits.replay:
-            train_trajs = train_trajs + self.buffer.all_trajectories()
+        # 3. training pool: current distill data plus the whole replay buffer,
+        # which only replay strategies fill
+        train_trajs = [
+            t for spec in specs for t in self.stage_data[spec.task_id]
+        ] + self.buffer.all_trajectories()
         present = {t.task_id for t in train_trajs}
         data_task_ids = [
             s.task_id for seen in self.stream[:k] for s in seen if s.task_id in present
@@ -376,7 +407,7 @@ class ProtocolRunner:
         steps = 0
         capped = False
         for epoch in range(1, stage.epochs + 1):
-            if traits.expand_and_mask and k >= 2 and epoch == 2:
+            if masked and epoch == 2:
                 apply_mask_schedule(self.model, k, 2)
             self.provider.refresh(current_ids)
             ctx = self.provider.context_matrix(data_task_ids)
@@ -395,43 +426,50 @@ class ProtocolRunner:
         rates = self.stage_rates(k)
         for task_id, rate in rates.items():
             self.matrix.record(k, task_id, rate)
+        return rates, dataset
 
-        # 6. replay selection from this stage's data (after training)
-        if traits.replay:
-            for spec in specs:
-                pool = self.stage_data[spec.task_id]
+    def close_stage(self, k: int, dataset: DistillDataset) -> None:
+        """After `train_stage` of stage k: replay selection from the stage's
+        teacher data, the next stage's EWC or KL state from ``dataset`` when
+        a stage follows, then ``stage_k/``."""
+        if self.traits.replay:
+            for i, (task_id, pool) in enumerate(self.stage_data.items()):
                 if self.config.replay_m == 0:
-                    update_buffer(self.buffer, len(pool), spec.task_id, [])
+                    update_buffer(self.buffer, len(pool), task_id, [])
                     continue
                 chosen, audit = select_replay(
                     pool,
                     slice_len=self.model_cfg.seq_len,
                     m=self.config.replay_m,
                     strategy=self.config.replay_strategy,
-                    seed=seeds.int_seed(self.seed, k, seeds.SELECT, specs.index(spec)),
+                    seed=seeds.int_seed(self.seed, k, seeds.SELECT, i),
                     stage=k,
                 )
-                update_buffer(self.buffer, len(pool), spec.task_id, chosen)
+                update_buffer(self.buffer, len(pool), task_id, chosen)
                 self.audits.append(audit)
 
-        # 7. strategy state for the next stage, when one follows
-        has_next = k < self.config.n_stages
-        if traits.ewc and has_next:
-            fisher_rng = seeds.rng(self.seed, k, seeds.FISHER)
-            fisher_batches = self._fisher_batches(dataset, rng=fisher_rng)
-            fisher = estimate_fisher(
-                self.model, fisher_batches, lam=self.schedule.value(self.global_step)
-            )
-            anchors = {
-                g.name: g.tensor.data.copy() for g in self.model.groups() if g.trainable
-            }
-            self.ewc_state = EWCState(anchors, fisher, lam=self.config.ewc_lambda)
-        if traits.kl and has_next:
-            self.prev_model = self.model.clone()
+        if k < self.config.n_stages:
+            fisher = None
+            if self.traits.ewc:
+                fisher = estimate_fisher(
+                    self.model,
+                    self._fisher_batches(dataset, k),
+                    lam=self.schedule.value(self.global_step),
+                )
+            self._carry(fisher)
 
         if self.out_dir is not None:
             self._write_stage(k)
-        return rates
+
+    def _carry(self, fisher: dict[str, np.ndarray] | None) -> None:
+        """The state the next stage's penalties read, anchored at the student
+        as it stands: EWC's anchors on the groups ``fisher`` weights, when it
+        is given, and the `kl` strategy's snapshot."""
+        if fisher is not None:
+            anchors = {name: self.model.params[name].tensor.data.copy() for name in fisher}
+            self.ewc_state = EWCState(anchors, fisher, lam=self.config.ewc_lambda)
+        if self.traits.kl:
+            self.prev_model = self.model.clone()
 
     # ------------------------------------------------------------------
     # seeded collection and evaluation; `cpdistill eval` rescores a loaded
@@ -459,7 +497,7 @@ class ProtocolRunner:
         rates = {}
         for idx, spec in enumerate(s for stage in self.stream[:k] for s in stage):
             tid = spec.task_id
-            if self.traits.fresh_model and tid not in current:
+            if tid not in current and self.traits.fresh_model:
                 intro = self.matrix.intro_stage[self.matrix.task_ids.index(tid)]
                 rates[tid] = self.matrix.value(intro, tid)
             else:
@@ -486,9 +524,9 @@ class ProtocolRunner:
                     ContrastiveBatch(z, nce_labels[idx], self.config.infonce_tau)
                 )
                 loss = loss + nce * self.config.infonce_weight
-        if self.traits.ewc and self.ewc_state is not None:
+        if self.ewc_state is not None:
             loss = loss + ewc_penalty(self.model, self.ewc_state)
-        if self.traits.kl and self.prev_model is not None:
+        if self.prev_model is not None:
             loss = loss + kl_penalty(
                 self.model,
                 self.prev_model,
@@ -526,20 +564,16 @@ class ProtocolRunner:
             depth += 1
         return np.array(order, dtype=np.intp)
 
-    def _fisher_batches(self, dataset: DistillDataset, rng) -> list:
+    def _fisher_batches(self, dataset: DistillDataset, k: int) -> list:
+        """The first ``ewc_batches`` batches of a shuffled pass over stage k's
+        training pool, with their contexts."""
         ctx = self.provider.context_matrix(dataset.task_ids)
-        out = []
-        for batch in dataset.epoch_batches(rng, self.config.batch_size):
-            out.append(
-                SimpleNamespace(
-                    windows=batch.windows,
-                    contexts=ctx[batch.task_idx],
-                    targets=batch.targets,
-                )
-            )
-            if len(out) >= self.config.ewc_batches:
-                break
-        return out
+        rng = seeds.rng(self.seed, k, seeds.FISHER)
+        batches = dataset.epoch_batches(rng, self.config.batch_size)
+        return [
+            SimpleNamespace(windows=b.windows, contexts=ctx[b.task_idx], targets=b.targets)
+            for b in islice(batches, self.config.ewc_batches)
+        ]
 
     # ------------------------------------------------------------------
     # artifacts
@@ -615,11 +649,8 @@ class ProtocolRunner:
         if matrix.task_ids != [s.task_id for stage in self.stream[:k] for s in stage]:
             raise StateError(f"{d} scores tasks other than this config's stream")
         self.matrix = matrix
-        self.model, _ = StudentModel.load(d / "model")
-        self.optimizer = load_optimizer(d / "optimizer", self.model.groups())
-        self.provider = ContextProvider(
-            self.model.encoder, n_chunks=self.model_cfg.stats_chunks
-        )
+        model, _ = StudentModel.load(d / "model")
+        self._adopt(model, load_optimizer(d / "optimizer", model.groups()))
         ids, vecs = load_contexts(d / "contexts.tsv")
         self.provider.cache.update(zip(ids, vecs))
         self.buffer = ReplayBuffer(budget_fraction=self.config.budget_fraction)
@@ -628,15 +659,12 @@ class ProtocolRunner:
         self.buffer.total_distill_seen = state["total_distill_seen"]
         self.global_step = state["global_step"]
         self.audits = read_audits(d / "audits.tsv")
-        if self.traits.ewc and (d / "fisher").exists():
-            groups, _ = load_groups(d / "fisher")
-            fisher = {g.name: g.tensor.data for g in groups}
-            anchors = {
-                g.name: g.tensor.data.copy() for g in self.model.groups() if g.name in fisher
-            }
-            self.ewc_state = EWCState(anchors, fisher, lam=self.config.ewc_lambda)
-        if self.traits.kl:
-            self.prev_model = self.model.clone()
+        if k < self.config.n_stages:
+            fisher = None
+            if (d / "fisher").exists():
+                groups, _ = load_groups(d / "fisher")
+                fisher = {g.name: g.tensor.data for g in groups}
+            self._carry(fisher)
 
 
 def completed_stages(run_dir) -> list[int]:

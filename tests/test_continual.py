@@ -370,6 +370,23 @@ def test_stage_1_does_not_depend_on_the_strategy(tmp_path):
         assert differ == [], strategy
 
 
+class _NoTraits:
+    def __getattr__(self, name):
+        raise AssertionError(f"stage 1 read the strategy trait {name!r}")
+
+
+def test_stage_1_training_reads_no_strategy_trait():
+    # what lets every strategy share one stage-1 student: training and
+    # evaluating stage 1 neither read a trait nor build strategy state
+    runner = ProtocolRunner(tiny_protocol(), seed=11)
+    runner.traits = _NoTraits()
+    rates, _ = runner.train_stage(runner.stage_config(1), runner.stream[0])
+    assert set(rates) == {s.task_id for s in runner.stream[0]}
+    assert runner.global_step > 0
+    assert runner.ewc_state is None and runner.prev_model is None
+    assert runner.buffer.size == 0
+
+
 def test_lambda_uses_cumulative_step():
     cfg = tiny_protocol(
         n_stages=2, episodes_per_task=10, epochs_stage1=1, epochs_later=1,
