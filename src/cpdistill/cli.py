@@ -4,10 +4,13 @@
     cpdistill eval    --config c.json --seed 7 --out runs/r0 --stage K
     cpdistill report  --out runs/r0
 
-`eval` rescores the stage-K checkpoint of the run in --out; it needs that
-run's config and seed, and raises StateError when the stage is incomplete or
-was written by another strategy or seed. `report` prints the run's Acc/BWT
-table and renders the newest complete stage of the run.
+`distill --resume` continues the run in --out after its newest complete
+stage. It refuses a config other than the run's: when the run's config.json
+differs from the given config (after --strategy), it raises StateError and
+writes nothing. `eval` rescores the stage-K checkpoint of the run in --out;
+it needs that run's config and seed, and raises StateError when the stage
+is incomplete or was written by another strategy or seed. `report` prints
+the run's Acc/BWT table and renders the newest complete stage of the run.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 

@@ -21,7 +21,9 @@ Top-level keys
     teacher_noise       optional Gaussian action-noise std for teachers
     infonce_tau / infonce_weight / infonce_trajs
                         contrastive objective temperature, loss weight and
-                        per-step trajectory batch size
+                        per-step trajectory batch size (at least 2: a batch
+                        needs two trajectories of one task for a positive
+                        pair)
     ewc_lambda / ewc_batches
                         EWC penalty weight and Fisher-estimate batch count
     kl_sigma0           shared Gaussian std in the KL baseline penalty
@@ -37,8 +39,8 @@ Top-level keys
     expansion           experts_added / init_noise_std / cold_start_bias /
                         gate_col_noise_std
 
-Counts must be positive (replay_m and the epoch counts may be 0, and
-max_steps may be None). A bad value or an unknown key, at the top level or
+Counts must be positive (replay_m and the epoch counts may be 0,
+max_steps may be None, and infonce_trajs must be at least 2). A bad value or an unknown key, at the top level or
 in a section, raises ConfigError naming it when the config is built.
 """
 from __future__ import annotations
@@ -81,7 +83,7 @@ STRATEGIES = tuple(STRATEGY_TRAITS)
 # top-level counts that must be at least 1
 _COUNTS = (
     "n_stages", "tasks_per_stage", "episodes_per_task", "support_episodes",
-    "eval_episodes", "batch_size", "infonce_trajs", "ewc_batches",
+    "eval_episodes", "batch_size", "ewc_batches",
 )
 
 
@@ -139,6 +141,8 @@ class ProtocolConfig:
         for key in ("epochs_stage1", "epochs_later", "replay_m"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.infonce_trajs < 2:
+            raise ConfigError(f"infonce_trajs must be at least 2, got {self.infonce_trajs}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps must be positive or None, got {self.max_steps}")
         if self.replay_m > self.budget_fraction * self.episodes_per_task:

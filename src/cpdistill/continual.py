@@ -300,6 +300,8 @@ def rollout_success_batch(
 
 class ProtocolRunner:
     def __init__(self, config: ProtocolConfig, seed: int, out_dir=None):
+        if seed < 0:
+            raise ConfigError(f"the run seed must be >= 0, got {seed}")
         self.config = config
         self.seed = seed
         self.out_dir = Path(out_dir) if out_dir is not None else None
@@ -540,15 +542,23 @@ class ProtocolRunner:
         self.global_step += 1
 
     def _nce_sample(self, rng, labels) -> np.ndarray | None:
-        """Round-robin over tasks so every batch holds positives and,
-        when more than one task exists, negatives."""
+        """Up to ``infonce_trajs`` trajectories, round-robin over tasks so
+        that a batch holds negatives when more than one task exists, and a
+        positive pair whenever a task has two trajectories; None when no
+        task has two."""
         size = min(self.config.infonce_trajs, labels.size)
         per_label = []
         for lab in np.unique(labels):
             idx = np.nonzero(labels == lab)[0]
             per_label.append(idx[rng.permutation(idx.size)])
-        if len(per_label) == 1 and per_label[0].size < 2:
+        if all(idx.size < 2 for idx in per_label):
             return None
+        if len(per_label) >= size:
+            # one trajectory of each of the first `size` tasks would hold no
+            # positive pair: open with two of the first task that has two
+            pair = next(idx for idx in per_label if idx.size >= 2)
+            rest = [idx[0] for idx in per_label if idx is not pair]
+            return np.array([*pair[:2], *rest[: size - 2]], dtype=np.intp)
         order = []
         depth = 0
         while len(order) < size:
@@ -706,11 +716,18 @@ def run_protocol(
     config: ProtocolConfig, seed: int, out_dir=None, resume: bool = False
 ) -> tuple[MetricsMatrix, ProtocolRunner]:
     """Run the full staged protocol; writes checkpoints and artifacts when
-    out_dir is given and echoes the config for reproducibility."""
+    out_dir is given and echoes the config for reproducibility. With
+    ``resume`` it continues the run in ``out_dir`` after its newest complete
+    stage, and raises `StateError`, writing nothing, when the run's
+    ``config.json`` holds another config."""
     runner = ProtocolRunner(config, seed, out_dir=out_dir)
     if out_dir is not None:
+        saved = Path(out_dir) / "config.json"
+        given = json.loads(json.dumps(config.to_dict()))  # as config.json holds it
+        if resume and saved.exists() and json.loads(saved.read_text()) != given:
+            raise StateError(f"{saved} holds another config than the one given to resume it with")
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        save_config(Path(out_dir) / "config.json", config)
+        save_config(saved, config)
     matrix = runner.run(resume=resume)
     if out_dir is not None:
         matrix.save(Path(out_dir) / "metrics.tsv")

@@ -195,3 +195,39 @@ def test_report_renders_the_newest_complete_stage(config_path, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "StateError" in captured.err
+
+
+def test_negative_seed_is_a_config_error(config_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    for argv in (["distill"], ["eval", "--stage", "1"]):
+        assert main([*argv, "--config", str(config_path), "--seed", "-1",
+                     "--out", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ConfigError" in captured.err and "-1" in captured.err
+    assert not run_dir.exists()
+
+
+def test_resume_refuses_a_changed_config(config_path, tmp_path, capsys):
+    save_config(config_path, ProtocolConfig.from_dict(
+        {**load_config(config_path).to_dict(), "n_stages": 1}))
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(config_path), "--seed", "3",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    changed = tmp_path / "changed.json"
+    save_config(changed, ProtocolConfig.from_dict(
+        {**load_config(config_path).to_dict(), "lr": 3e-3, "epochs_later": 3}))
+    for config, extra in ((changed, []), (config_path, ["--strategy", "finetune"])):
+        assert main(["distill", "--config", str(config), "--seed", "3",
+                     "--out", str(run_dir), "--resume", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "StateError" in captured.err and "config.json" in captured.err
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+    # the run's own config resumes: every stage is complete, nothing changes
+    assert main(["distill", "--config", str(config_path), "--seed", "3",
+                 "--out", str(run_dir), "--resume"]) == 0
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,11 @@ def tiny_protocol(**over):
     )
     base.update(over)
     return ProtocolConfig(**base)
+
+
+def tree_bytes(d):
+    """Every file under ``d``, by its path relative to ``d``, to its bytes."""
+    return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
 
 def small_model(seed=0):
@@ -236,6 +243,7 @@ def test_config_rejects_removed_knobs():
     (dict(suite={"horizon": -20}), "horizon"),
     (dict(model={"obs_dim": 5}), "obs_dim"),
     (dict(model={"action_dim": 3}), "action_dim"),
+    (dict(infonce_trajs=1), "infonce_trajs"),
 ])
 def test_config_rejects_bad_values_at_construction(over, key):
     with pytest.raises(ConfigError, match=key):
@@ -387,6 +395,31 @@ def test_stage_1_training_reads_no_strategy_trait():
     assert runner.buffer.size == 0
 
 
+@pytest.mark.parametrize("over", [
+    dict(infonce_trajs=4),  # stage 2 pools 4 tasks: 2 new, 2 from replay
+    dict(n_stages=1, tasks_per_stage=3, infonce_trajs=3),
+    dict(n_stages=1, episodes_per_task=1, replay_m=0),  # no task has two
+])
+def test_contrastive_batches_without_a_positive_pair_do_not_stop_the_run(over):
+    cfg = tiny_protocol(**over)
+    matrix, _ = run_protocol(cfg, seed=14)
+    assert matrix.stages() == list(range(1, cfg.n_stages + 1))
+
+
+@pytest.mark.parametrize("labels,tasks", [
+    ([0, 0, 1, 2, 3], 2),  # round-robin would take one of each of 3 tasks
+    ([0, 1, 2, 3, 3], 2),  # the pair comes from the one task that has two
+    ([0, 0, 0, 1], 2),     # round-robin already holds a pair: unchanged
+])
+def test_nce_sample_holds_a_positive_pair(labels, tasks):
+    runner = ProtocolRunner(tiny_protocol(infonce_trajs=3), seed=0)
+    labels = np.array(labels)
+    idx = runner._nce_sample(np.random.default_rng(0), labels)
+    assert idx.size == 3 and len(set(idx.tolist())) == 3
+    assert len(set(labels[idx].tolist())) == tasks
+    assert runner._nce_sample(np.random.default_rng(0), np.array([0, 1, 2])) is None
+
+
 def test_lambda_uses_cumulative_step():
     cfg = tiny_protocol(
         n_stages=2, episodes_per_task=10, epochs_stage1=1, epochs_later=1,
@@ -411,25 +444,22 @@ def test_determinism_two_identical_runs(tmp_path):
         assert m1.rows[k].tobytes() == m2.rows[k].tobytes()
 
 
-def test_resume_matches_straight_run(tmp_path):
-    cfg = tiny_protocol(n_stages=3, episodes_per_task=10, epochs_stage1=1, epochs_later=1)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_resume_matches_straight_run(tmp_path, strategy):
+    # a cut after stage 1 of 2 makes the resume load the stage-1 student,
+    # buffer, EWC Fisher and anchors or KL snapshot that stage 2 trains with
+    cfg = tiny_protocol(strategy=strategy, epochs_stage1=1, epochs_later=1)
     straight, _ = run_protocol(cfg, seed=10, out_dir=tmp_path / "full")
 
-    # run only stages 1-2, then resume for stage 3 in a fresh process state
-    partial = ProtocolRunner(cfg, seed=10, out_dir=tmp_path / "part")
-    partial.run_stage(partial.stage_config(1), partial.stream[0])
-    partial.run_stage(partial.stage_config(2), partial.stream[1])
-
+    # the run as a crash in stage 2 leaves it
+    shutil.copytree(tmp_path / "full" / "stage_1", tmp_path / "part" / "stage_1")
     resumed = ProtocolRunner(cfg, seed=10, out_dir=tmp_path / "part")
     matrix = resumed.run(resume=True)
     for k in straight.stages():
         assert straight.rows[k].tobytes() == matrix.rows[k].tobytes()
-
-    def files(d):
-        return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
-
-    for k in (1, 2, 3):
-        full, part = files(tmp_path / "full" / f"stage_{k}"), files(tmp_path / "part" / f"stage_{k}")
+    for k in (1, 2):
+        full, part = tree_bytes(tmp_path / "full" / f"stage_{k}"), tree_bytes(
+            tmp_path / "part" / f"stage_{k}")
         assert sorted(full) == sorted(part)
         for name, blob in full.items():
             assert part[name] == blob, f"stage_{k}/{name}"
@@ -498,13 +528,10 @@ def test_ewc_fisher_only_before_a_later_stage(tmp_path, monkeypatch):
     for k in (1, 2, 3):
         ref.run_stage(ref.stage_config(k), ref.stream[k - 1])
     assert len(calls) == 5
-
-    def files(d):
-        return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
-
     for k in (1, 2):
-        assert files(tmp_path / "run" / f"stage_{k}") == files(tmp_path / "ref" / f"stage_{k}")
-    run3, ref3 = files(tmp_path / "run" / "stage_3"), files(tmp_path / "ref" / "stage_3")
+        assert tree_bytes(tmp_path / "run" / f"stage_{k}") == tree_bytes(
+            tmp_path / "ref" / f"stage_{k}")
+    run3, ref3 = tree_bytes(tmp_path / "run" / "stage_3"), tree_bytes(tmp_path / "ref" / "stage_3")
     assert {p for p in ref3 if p.parts[0] == "fisher"} == set(ref3) - set(run3)
     assert all(run3[p] == ref3[p] for p in run3)
 
