@@ -390,9 +390,8 @@ class ProtocolRunner:
 
         # 3. training pool: current distill data plus the whole replay buffer,
         # which only replay strategies fill
-        train_trajs = [
-            t for spec in specs for t in self.stage_data[spec.task_id]
-        ] + self.buffer.all_trajectories()
+        train_trajs = [t for spec in specs for t in self.stage_data[spec.task_id]]
+        train_trajs += self.buffer.all_trajectories()
         present = {t.task_id for t in train_trajs}
         data_task_ids = [
             s.task_id for seen in self.stream[:k] for s in seen if s.task_id in present

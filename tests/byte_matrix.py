@@ -25,8 +25,8 @@ where the trees do:
     PYTHONPATH=src python3 tests/byte_matrix.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-The tiny runs take about a minute and the workload runs about as long
-again on one core. pytest does not collect this file.
+One matrix took 90 s on an idle 2-core machine with one BLAS thread.
+pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -65,8 +65,8 @@ def tiny_config(strategy: str, top_k: int) -> dict:
 class Log:
     """Runs CLI commands in this process and records what each printed."""
 
-    def __init__(self, path: Path):
-        self.fh = path.open("w")
+    def __init__(self, fh):
+        self.fh = fh
 
     def run(self, *argv: str) -> int:
         out, err = io.StringIO(), io.StringIO()
@@ -112,9 +112,16 @@ def main(argv=None) -> int:
         shutil.rmtree(args.out)
     (args.out / "configs").mkdir(parents=True)
     os.chdir(args.out)
-    log = Log(Path("commands.txt"))
+    with Path("commands.txt").open("w") as fh:
+        runs = write_matrix(Log(fh))
+    print(f"wrote {len(runs)} run directories", file=sys.stderr)
+    return 0
 
-    runs = []  # (name, seed, stages)
+
+def write_matrix(log: Log) -> list[tuple[str, int, int]]:
+    """Run every command of the matrix; the (name, seed, stage count) of
+    each run directory."""
+    runs = []
     for strategy in STRATEGIES:
         for top_k in (1, 2):
             name = f"tiny_{strategy}_top{top_k}"
@@ -143,8 +150,7 @@ def main(argv=None) -> int:
 
     for name, seed, stages in runs:
         inspect_run(log, name, seed, stages)
-    print(f"wrote {len(runs)} run directories", file=sys.stderr)
-    return 0
+    return runs
 
 
 if __name__ == "__main__":

@@ -458,8 +458,8 @@ def test_resume_matches_straight_run(tmp_path, strategy):
     for k in straight.stages():
         assert straight.rows[k].tobytes() == matrix.rows[k].tobytes()
     for k in (1, 2):
-        full, part = tree_bytes(tmp_path / "full" / f"stage_{k}"), tree_bytes(
-            tmp_path / "part" / f"stage_{k}")
+        full = tree_bytes(tmp_path / "full" / f"stage_{k}")
+        part = tree_bytes(tmp_path / "part" / f"stage_{k}")
         assert sorted(full) == sorted(part)
         for name, blob in full.items():
             assert part[name] == blob, f"stage_{k}/{name}"
@@ -528,10 +528,10 @@ def test_ewc_fisher_only_before_a_later_stage(tmp_path, monkeypatch):
     for k in (1, 2, 3):
         ref.run_stage(ref.stage_config(k), ref.stream[k - 1])
     assert len(calls) == 5
+    run_dir, ref_dir = tmp_path / "run", tmp_path / "ref"
     for k in (1, 2):
-        assert tree_bytes(tmp_path / "run" / f"stage_{k}") == tree_bytes(
-            tmp_path / "ref" / f"stage_{k}")
-    run3, ref3 = tree_bytes(tmp_path / "run" / "stage_3"), tree_bytes(tmp_path / "ref" / "stage_3")
+        assert tree_bytes(run_dir / f"stage_{k}") == tree_bytes(ref_dir / f"stage_{k}")
+    run3, ref3 = tree_bytes(run_dir / "stage_3"), tree_bytes(ref_dir / "stage_3")
     assert {p for p in ref3 if p.parts[0] == "fisher"} == set(ref3) - set(run3)
     assert all(run3[p] == ref3[p] for p in run3)
 
