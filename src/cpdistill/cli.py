@@ -1,16 +1,20 @@
 """Command-line surface.
 
-    cpdistill distill --config c.json --seed 7 --out runs/r0 [--strategy NAME] [--resume]
-    cpdistill eval    --config c.json --seed 7 --out runs/r0 --stage K
+    cpdistill distill --config c.json --seed 7 --out runs/r0 [--strategy NAME]
+    cpdistill eval    --out runs/r0 --stage K
     cpdistill report  --out runs/r0
 
-`distill --resume` continues the run in --out after its newest complete
-stage. It refuses a config other than the run's: when the run's config.json
-differs from the given config (after --strategy), it raises StateError and
-writes nothing. `eval` rescores the stage-K checkpoint of the run in --out;
-it needs that run's config and seed, and raises StateError when the stage
-is incomplete or was written by another strategy or seed. `report` prints
-the run's Acc/BWT table and renders the newest complete stage of the run.
+A run directory holds one run (layout in `cpdistill.continual`). `distill`
+continues the run in --out after its newest complete stage: an empty or
+missing directory gets a straight run, a cut-off run trains its remaining
+stages, and a finished run is left as it is and its table printed again.
+It refuses another run's directory: when the run's config.json differs
+from the given config (after --strategy), or its stages were written with
+another seed, it raises StateError and writes nothing. `eval` rescores the
+stage-K checkpoint of the run in --out under the run's own config and seed
+(config.json and stage_K/state.json), and raises StateError when the
+directory has no config.json or the stage is incomplete. `report` prints
+the Acc/BWT table of the newest complete stage and renders that stage.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 
@@ -29,7 +33,7 @@ import sys
 from pathlib import Path
 
 from .config import ProtocolConfig, load_config
-from .continual import ProtocolRunner, run_protocol
+from .continual import open_stage, run_protocol
 from .report import render_report, summary_table
 
 __all__ = ["main"]
@@ -48,20 +52,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cpdistill", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=Path, required=True,
-                       help="protocol config JSON (see cpdistill.config)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", type=Path, help="output directory")
-
-    distill = sub.add_parser("distill", help="run the staged distillation protocol")
-    common(distill)
+    distill = sub.add_parser("distill", help="run, or continue, the staged distillation protocol")
+    distill.add_argument("--config", type=Path, required=True,
+                         help="protocol config JSON (see cpdistill.config)")
+    distill.add_argument("--seed", type=int, default=0)
+    distill.add_argument("--out", type=Path, help="run directory; a run there is continued")
     distill.add_argument("--strategy", help="override the config strategy")
-    distill.add_argument("--resume", action="store_true",
-                         help="continue from the newest stage checkpoint in --out")
 
     evalp = sub.add_parser("eval", help="score a stage checkpoint on its tasks")
-    common(evalp)
+    evalp.add_argument("--out", type=Path, required=True, help="run directory")
     evalp.add_argument("--stage", type=int, required=True)
 
     report = sub.add_parser("report", help="render the report of a finished or crashed run")
@@ -73,15 +72,14 @@ def _cmd_distill(args) -> int:
     config = load_config(args.config)
     if args.strategy:
         config = ProtocolConfig.from_dict({**config.to_dict(), "strategy": args.strategy})
-    matrix, runner = run_protocol(config, args.seed, out_dir=args.out, resume=args.resume)
+    matrix, runner = run_protocol(config, args.seed, out_dir=args.out)
     print(summary_table(matrix, config.strategy), end="")
     return 0
 
 
 def _cmd_eval(args) -> int:
     """Score a stage checkpoint on the episodes the run evaluated it on."""
-    runner = ProtocolRunner(load_config(args.config), args.seed, out_dir=args.out)
-    runner.load_stage(args.stage)
+    runner = open_stage(args.out, args.stage)
     rates = runner.stage_rates(args.stage)
     print("task_id\tsuccess_rate")
     for task_id, rate in rates.items():

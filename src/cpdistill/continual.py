@@ -40,15 +40,24 @@ Stage lifecycle
     stage's teacher data, builds the next stage's EWC or KL state when a
     stage follows, and writes ``stage_k/``, ``state.json`` last.
 
-A stage is complete when its ``state.json`` exists (`completed_stages`).
-`ProtocolRunner.load_stage` is the one reader of a stage directory; resume
-and ``cpdistill eval`` restore through it, and ``cpdistill report`` picks
-its stage with `completed_stages`. It restores through the methods a
-straight run uses: `_adopt` takes the loaded student and optimizer, as
-`_fresh_student` takes a new one, with an empty context cache that the
-stage's ``contexts.tsv`` then fills; `_carry` builds the EWC anchors from
-the saved ``fisher/`` and the KL snapshot, as `close_stage` builds them from
-the Fisher it has just estimated.
+A run directory holds one run and is its record. A stage is complete when
+its ``state.json`` exists (`completed_stages`). `run_protocol` continues
+the run in ``out_dir`` after its newest complete stage; a missing or empty
+directory is a straight run, and a finished run is left as it is. It
+raises `StateError`, writing nothing, when ``config.json`` holds another
+config, and `load_stage` raises it when the newest stage was written with
+another seed. `open_stage` (``cpdistill eval``) restores stage k from the
+directory alone: the config from ``config.json``, the seed from
+``stage_k/state.json``. ``cpdistill report`` picks its stage with
+`completed_stages`.
+
+`ProtocolRunner.load_stage` is the one reader of a stage directory;
+`open_stage` takes only the seed, through the completeness check
+`load_stage` makes. It restores through the methods a straight run uses: `_adopt` takes the
+loaded student and optimizer, as `_fresh_student` takes a new one, with an
+empty context cache that the stage's ``contexts.tsv`` then fills; `_carry`
+builds the EWC anchors from the saved ``fisher/`` and the KL snapshot, as
+`close_stage` builds them from the Fisher it has just estimated.
 """
 from __future__ import annotations
 
@@ -63,7 +72,7 @@ import numpy as np
 from . import seeds
 from . import tensor as T
 from .checkpoint import load_groups, load_optimizer, save_groups, save_optimizer
-from .config import STRATEGY_TRAITS, ProtocolConfig, save_config
+from .config import STRATEGY_TRAITS, ProtocolConfig, load_config, save_config
 from .errors import ConfigError, InputError, StateError
 from .metrics import MetricsMatrix
 from .model import (
@@ -99,6 +108,7 @@ __all__ = [
     "rollout_success_batch",
     "ProtocolRunner",
     "run_protocol",
+    "open_stage",
     "completed_stages",
     "write_audits",
     "read_audits",
@@ -340,15 +350,13 @@ class ProtocolRunner:
 
     # ------------------------------------------------------------------
 
-    def run(self, resume: bool = False) -> MetricsMatrix:
-        """Run every stage, or with ``resume`` those after the newest complete one."""
-        start = 1
-        if resume and self.out_dir is not None:
-            done = completed_stages(self.out_dir)
-            if done:
-                self.load_stage(done[-1])
-                start = done[-1] + 1
-        for k in range(start, self.config.n_stages + 1):
+    def run(self) -> MetricsMatrix:
+        """Run the stages after the newest complete one in ``out_dir``, or
+        every stage when it holds none."""
+        done = completed_stages(self.out_dir) if self.out_dir is not None else []
+        if done:
+            self.load_stage(done[-1])
+        for k in range(done[-1] + 1 if done else 1, self.config.n_stages + 1):
             self.run_stage(self.stage_config(k), self.stream[k - 1])
         return self.matrix
 
@@ -646,9 +654,7 @@ class ProtocolRunner:
         if self.out_dir is None:
             raise StateError("the runner has no run directory to load a stage from")
         d = self._stage_dir(k)
-        if not (d / "state.json").exists():
-            raise StateError(f"{d} is not a complete stage: it has no state.json")
-        state = json.loads((d / "state.json").read_text())
+        state = _stage_state(d)
         if state["strategy"] != self.config.strategy or state["seed"] != self.seed:
             raise StateError(
                 f"{d} was written by strategy {state['strategy']} with seed "
@@ -674,6 +680,28 @@ class ProtocolRunner:
                 groups, _ = load_groups(d / "fisher")
                 fisher = {g.name: g.tensor.data for g in groups}
             self._carry(fisher)
+
+
+def _stage_state(d: Path) -> dict:
+    """The ``state.json`` of stage directory ``d``; `StateError` when the
+    stage is not complete."""
+    if not (d / "state.json").exists():
+        raise StateError(f"{d} is not a complete stage: it has no state.json")
+    return json.loads((d / "state.json").read_text())
+
+
+def open_stage(run_dir, k: int) -> ProtocolRunner:
+    """The runner of the run in ``run_dir`` restored to the end of stage k,
+    under the run's own config (``config.json``) and seed
+    (``stage_k/state.json``). Raises `StateError` when ``run_dir`` holds no
+    config or stage k is not complete."""
+    run_dir = Path(run_dir)
+    if not (run_dir / "config.json").exists():
+        raise StateError(f"{run_dir} holds no run: it has no config.json")
+    seed = _stage_state(run_dir / f"stage_{k}")["seed"]
+    runner = ProtocolRunner(load_config(run_dir / "config.json"), seed, out_dir=run_dir)
+    runner.load_stage(k)
+    return runner
 
 
 def completed_stages(run_dir) -> list[int]:
@@ -712,22 +740,20 @@ def read_audits(path) -> list[SelectionAudit]:
 
 
 def run_protocol(
-    config: ProtocolConfig, seed: int, out_dir=None, resume: bool = False
+    config: ProtocolConfig, seed: int, out_dir=None
 ) -> tuple[MetricsMatrix, ProtocolRunner]:
-    """Run the full staged protocol; writes checkpoints and artifacts when
-    out_dir is given and echoes the config for reproducibility. With
-    ``resume`` it continues the run in ``out_dir`` after its newest complete
-    stage, and raises `StateError`, writing nothing, when the run's
-    ``config.json`` holds another config."""
+    """Run the staged protocol. With ``out_dir`` it continues the run there
+    after its newest complete stage, writes checkpoints and artifacts, and
+    echoes the config for reproducibility; it raises `StateError`, writing
+    nothing, when ``out_dir/config.json`` holds another config."""
     runner = ProtocolRunner(config, seed, out_dir=out_dir)
     if out_dir is not None:
         saved = Path(out_dir) / "config.json"
-        given = json.loads(json.dumps(config.to_dict()))  # as config.json holds it
-        if resume and saved.exists() and json.loads(saved.read_text()) != given:
-            raise StateError(f"{saved} holds another config than the one given to resume it with")
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        save_config(saved, config)
-    matrix = runner.run(resume=resume)
+        if not saved.exists():
+            save_config(saved, config)
+        elif json.loads(saved.read_text()) != json.loads(json.dumps(config.to_dict())):
+            raise StateError(f"{saved} holds another config: {out_dir} is another run's directory")
+    matrix = runner.run()
     if out_dir is not None:
         matrix.save(Path(out_dir) / "metrics.tsv")
     return matrix, runner

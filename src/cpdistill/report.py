@@ -1,10 +1,10 @@
 """Read-only rendering of run artifacts: the Acc/BWT table, per-layer
 routing-load histograms, the task-embedding dump and its 2-D PCA
-projection, and a config echo. The table comes from the run's
-`metrics.tsv`, or from its newest complete stage's when a crash left none,
-and the rest from that stage (see `cpdistill.continual` for the
-run-directory layout). Output is tabular text; plotting is left to external
-tooling."""
+projection, and a config echo, all from the run's newest complete stage
+(see `cpdistill.continual` for the run-directory layout). For a finished
+run that stage's `metrics.tsv` is the run's top-level one; a directory
+with no complete stage gets the table of its top-level `metrics.tsv`
+alone. Output is tabular text; plotting is left to external tooling."""
 from __future__ import annotations
 
 import json
@@ -34,16 +34,14 @@ def summary_table(matrix: MetricsMatrix, strategy: str | None = None) -> str:
 
 def render_report(run_dir, report_dir=None) -> Path:
     """Render a report directory from a finished (or partial) run. Raises
-    `StateError` when the run has neither a `metrics.tsv` nor a complete
-    stage."""
+    `StateError` when the run has neither a complete stage nor a
+    `metrics.tsv`."""
     run_dir = Path(run_dir)
     done = completed_stages(run_dir)
     last = run_dir / f"stage_{done[-1]}" if done else None
-    metrics = run_dir / "metrics.tsv"
+    metrics = (last or run_dir) / "metrics.tsv"
     if not metrics.exists():
-        if last is None:
-            raise StateError(f"{run_dir} has no metrics.tsv and no complete stage")
-        metrics = last / "metrics.tsv"
+        raise StateError(f"{run_dir} has no complete stage and no metrics.tsv")
     report_dir = Path(report_dir) if report_dir else run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 

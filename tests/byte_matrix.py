@@ -11,19 +11,33 @@ directory, runs through the command-line entry point:
   config (2 tasks per stage, hidden 16, depth 2, 3 experts) at seed 11;
 - ``distill`` for the three benchmark workload configs
   (``perfbench/workloads.py``) at seed 7;
-- ``distill --resume`` for ``ours``, ``ewc``, ``kl`` and ``independent`` on
-  copies of their tiny top-1 runs cut back to stage 1 and to stage 2;
+- ``distill`` for ``ours``, ``ewc``, ``kl`` and ``independent`` into
+  copies of their tiny top-1 runs cut back to stage 1 and to stage 2,
+  which continues each copy after its last stage;
+- a second ``distill`` into every finished straight run, which leaves it
+  as it is, and a ``distill`` of a 2-stage config into the finished
+  ``tiny_ours_top1``, which is refused (exit 2);
 - then, on every run directory, ``eval --stage k`` for each stage and
   ``report``.
 
 OUT/commands.txt records each command's arguments, exit code, stdout and
-stderr, and whether each resumed run directory equals its straight run.
-All paths are relative to OUT, so the outputs of two trees differ only
-where the trees do:
+stderr, whether each continued run directory equals its straight run, and
+whether each run directory stayed unchanged under a second ``distill`` or
+a refused one. All paths are relative to OUT, so the outputs of two trees
+differ only where the trees do:
 
     PYTHONPATH=/path/to/parent/src python3 tests/byte_matrix.py /tmp/a
     PYTHONPATH=src python3 tests/byte_matrix.py /tmp/b
     diff -r /tmp/a /tmp/b
+
+Across a change to the command line, run each tree's own copy of this
+script (the parent's on the parent, this one on the change), then ``diff
+-r`` the run directories and compare the exit code and stdout of every
+``eval`` and ``report`` in the two commands.txt files; the command lines,
+and so commands.txt as a whole, differ by design. Before ``eval`` lost its
+``--config`` and ``--seed`` and ``distill`` its ``--resume``, the cut-back
+copies were continued with ``distill --resume``, and neither the second
+``distill`` nor the refused one was run.
 
 One matrix took 90 s on an idle 2-core machine with one BLAS thread.
 pytest does not collect this file.
@@ -32,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import filecmp
 import io
 import json
 import os
@@ -87,20 +100,14 @@ def distill(log: Log, name: str, config: dict, seed: int) -> int:
     return log.run("distill", "--config", str(path), "--seed", str(seed), "--out", name)
 
 
-def inspect_run(log: Log, name: str, seed: int, n_stages: int) -> None:
-    config = str(Path("configs") / f"{name}.json")
+def inspect_run(log: Log, name: str, n_stages: int) -> None:
     for k in range(1, n_stages + 1):
-        log.run("eval", "--config", config, "--seed", str(seed), "--out", name,
-                "--stage", str(k))
+        log.run("eval", "--out", name, "--stage", str(k))
     log.run("report", "--out", name)
 
 
-def same_tree(a: Path, b: Path) -> bool:
-    cmp = filecmp.dircmp(a, b)
-    if cmp.left_only or cmp.right_only or cmp.funny_files:
-        return False
-    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files, shallow=False)
-    return not mismatch and not errors and all(same_tree(a / d, b / d) for d in cmp.common_dirs)
+def tree_bytes(d: Path) -> dict:
+    return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
 
 def main(argv=None) -> int:
@@ -132,8 +139,9 @@ def write_matrix(log: Log) -> list[tuple[str, int, int]]:
         distill(log, workload, config, WORKLOAD_SEED)
         runs.append((workload, WORKLOAD_SEED, config["n_stages"]))
 
-    # a resumed run starts from a copy of the straight run cut back to its
+    # a continued run starts from a copy of the straight run cut back to its
     # first `cut` stages, as a run that crashed in stage cut + 1 leaves it
+    finished = list(runs)
     for strategy in RESUMED:
         straight = f"tiny_{strategy}_top1"
         for cut in (1, 2):
@@ -144,12 +152,26 @@ def write_matrix(log: Log) -> list[tuple[str, int, int]]:
                 shutil.rmtree(Path(name) / f"stage_{k}")
             shutil.copy(Path("configs") / f"{straight}.json", Path("configs") / f"{name}.json")
             log.run("distill", "--config", str(Path("configs") / f"{name}.json"),
-                    "--seed", str(TINY_SEED), "--out", name, "--resume")
-            log.note(f"{name} equals {straight}: {same_tree(Path(name), Path(straight))}")
+                    "--seed", str(TINY_SEED), "--out", name)
+            same = tree_bytes(Path(name)) == tree_bytes(Path(straight))
+            log.note(f"{name} equals {straight}: {same}")
             runs.append((name, TINY_SEED, 3))
 
-    for name, seed, stages in runs:
-        inspect_run(log, name, seed, stages)
+    # a finished run is left as it is, and another run's config is refused
+    for name, seed, _ in finished:
+        before = tree_bytes(Path(name))
+        log.run("distill", "--config", str(Path("configs") / f"{name}.json"),
+                "--seed", str(seed), "--out", name)
+        log.note(f"{name} unchanged by a second distill: {tree_bytes(Path(name)) == before}")
+    name, shorter = "tiny_ours_top1", Path("configs") / "tiny_ours_top1_2stages.json"
+    shorter.write_text(json.dumps({**tiny_config("ours", 1), "n_stages": 2}, indent=1,
+                                  sort_keys=True))
+    before = tree_bytes(Path(name))
+    log.run("distill", "--config", str(shorter), "--seed", str(TINY_SEED), "--out", name)
+    log.note(f"{name} unchanged by a refused distill: {tree_bytes(Path(name)) == before}")
+
+    for name, _, stages in runs:
+        inspect_run(log, name, stages)
     return runs
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from cpdistill import cli
 from cpdistill.cli import main
 from cpdistill.config import ProtocolConfig, load_config, save_config
+from cpdistill.continual import ProtocolRunner
 from cpdistill.metrics import MetricsMatrix
 from cpdistill.report import render_report
 from cpdistill.taskctx import load_contexts
@@ -77,8 +79,7 @@ def test_eval_and_report(config_path, tmp_path, capsys):
                  "--out", str(run_dir)]) == 0
     capsys.readouterr()
 
-    assert main(["eval", "--config", str(config_path), "--seed", "11",
-                 "--out", str(run_dir), "--stage", "2"]) == 0
+    assert main(["eval", "--out", str(run_dir), "--stage", "2"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "task_id\tsuccess_rate"
     assert len(out) == 5  # header + 4 tasks
@@ -119,8 +120,7 @@ def test_eval_of_an_independent_run_prints_its_metrics_row(config_path, tmp_path
     assert main(["distill", "--config", str(config_path), "--seed", "11",
                  "--out", str(run_dir)]) == 0
     capsys.readouterr()
-    assert main(["eval", "--config", str(config_path), "--seed", "11",
-                 "--out", str(run_dir), "--stage", "2"]) == 0
+    assert main(["eval", "--out", str(run_dir), "--stage", "2"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     run_matrix = MetricsMatrix.load(run_dir / "metrics.tsv")
     rows = dict(line.split("\t") for line in out[1:])
@@ -148,16 +148,27 @@ def test_eval_refuses_another_run_or_an_incomplete_stage(config_path, tmp_path, 
     assert main(["distill", "--config", str(config_path), "--seed", "11",
                  "--out", str(run_dir)]) == 0
     capsys.readouterr()
-    other = tmp_path / "finetune.json"
-    save_config(other, ProtocolConfig.from_dict(
-        {**load_config(config_path).to_dict(), "strategy": "finetune"}))
-    for config, seed, stage in ((config_path, "12", "2"), (other, "11", "2"),
-                                (config_path, "11", "3")):
-        assert main(["eval", "--config", str(config), "--seed", seed,
-                     "--out", str(run_dir), "--stage", stage]) == 2
+
+    def refused(run, stage):
+        assert main(["eval", "--out", str(run), "--stage", stage]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "StateError" in captured.err
+        return captured.err
+
+    # a directory that holds no run's config, a stage the run never reached,
+    # and a stage whose state.json (written last) is missing
+    bare = tmp_path / "bare"
+    shutil.copytree(run_dir / "stage_2", bare / "stage_2")
+    assert "config.json" in refused(bare, "2")
+    assert "stage_3" in refused(run_dir, "3")
+    shutil.copytree(run_dir, tmp_path / "cut")
+    (tmp_path / "cut" / "stage_2" / "state.json").unlink()
+    assert "stage_2" in refused(tmp_path / "cut", "2")
+    # a config.json of another strategy next to the run's stages
+    save_config(run_dir / "config.json", ProtocolConfig.from_dict(
+        {**load_config(config_path).to_dict(), "strategy": "finetune"}))
+    assert "finetune" in refused(run_dir, "2")
 
 
 def test_report_renders_the_newest_complete_stage(config_path, tmp_path, capsys):
@@ -199,13 +210,16 @@ def test_report_renders_the_newest_complete_stage(config_path, tmp_path, capsys)
 
 def test_negative_seed_is_a_config_error(config_path, tmp_path, capsys):
     run_dir = tmp_path / "run"
-    for argv in (["distill"], ["eval", "--stage", "1"]):
-        assert main([*argv, "--config", str(config_path), "--seed", "-1",
-                     "--out", str(run_dir)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "ConfigError" in captured.err and "-1" in captured.err
+    assert main(["distill", "--config", str(config_path), "--seed", "-1",
+                 "--out", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConfigError" in captured.err and "-1" in captured.err
     assert not run_dir.exists()
+
+
+def tree_bytes(d):
+    return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
 
 def test_resume_refuses_a_changed_config(config_path, tmp_path, capsys):
@@ -215,19 +229,55 @@ def test_resume_refuses_a_changed_config(config_path, tmp_path, capsys):
     assert main(["distill", "--config", str(config_path), "--seed", "3",
                  "--out", str(run_dir)]) == 0
     capsys.readouterr()
-    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    before = tree_bytes(run_dir)
     changed = tmp_path / "changed.json"
     save_config(changed, ProtocolConfig.from_dict(
         {**load_config(config_path).to_dict(), "lr": 3e-3, "epochs_later": 3}))
     for config, extra in ((changed, []), (config_path, ["--strategy", "finetune"])):
         assert main(["distill", "--config", str(config), "--seed", "3",
-                     "--out", str(run_dir), "--resume", *extra]) == 2
+                     "--out", str(run_dir), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "StateError" in captured.err and "config.json" in captured.err
-    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+    assert tree_bytes(run_dir) == before
 
-    # the run's own config resumes: every stage is complete, nothing changes
+    # the run's own config continues it: every stage is complete, nothing changes
     assert main(["distill", "--config", str(config_path), "--seed", "3",
-                 "--out", str(run_dir), "--resume"]) == 0
-    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+                 "--out", str(run_dir)]) == 0
+    assert tree_bytes(run_dir) == before
+
+
+def test_distill_into_a_finished_run_changes_nothing(config_path, tmp_path, capsys, monkeypatch):
+    run_dir = tmp_path / "run"
+    argv = ["distill", "--config", str(config_path), "--seed", "3", "--out", str(run_dir)]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    before = tree_bytes(run_dir)
+
+    def no_training(*args):
+        raise AssertionError("a finished run trained again")
+
+    monkeypatch.setattr(ProtocolRunner, "_train_step", no_training)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table
+    assert tree_bytes(run_dir) == before
+
+
+def test_distill_refuses_another_runs_directory(config_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(config_path), "--seed", "3",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    before = tree_bytes(run_dir)
+    # a shorter run into it would leave stage_2 of this one behind, and a
+    # second seed would continue stages trained under the first
+    shorter = tmp_path / "shorter.json"
+    save_config(shorter, ProtocolConfig.from_dict(
+        {**load_config(config_path).to_dict(), "n_stages": 1}))
+    for config, seed, names in ((shorter, "3", "config.json"), (config_path, "4", "seed")):
+        assert main(["distill", "--config", str(config), "--seed", seed,
+                     "--out", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "StateError" in captured.err and names in captured.err
+        assert tree_bytes(run_dir) == before
