@@ -40,8 +40,12 @@ Top-level keys
                         gate_col_noise_std
 
 Counts must be positive (replay_m and the epoch counts may be 0,
-max_steps may be None, and infonce_trajs must be at least 2). A bad value or an unknown key, at the top level or
-in a section, raises ConfigError naming it when the config is built.
+max_steps may be None, and infonce_trajs must be at least 2), and so must
+model stats_chunks and encoder_hidden. lr, infonce_tau and kl_sigma0 must
+be > 0; teacher_noise and the expansion's init_noise_std and
+gate_col_noise_std must be >= 0; budget_fraction must lie in (0, 1]. A bad
+value or an unknown key, at the top level or in a section, raises
+ConfigError naming it when the config is built.
 """
 from __future__ import annotations
 
@@ -145,6 +149,13 @@ class ProtocolConfig:
             raise ConfigError(f"infonce_trajs must be at least 2, got {self.infonce_trajs}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps must be positive or None, got {self.max_steps}")
+        for key in ("lr", "infonce_tau", "kl_sigma0"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not self.teacher_noise >= 0:
+            raise ConfigError(f"teacher_noise must be >= 0, got {self.teacher_noise}")
+        if not 0 < self.budget_fraction <= 1:
+            raise ConfigError(f"budget_fraction must lie in (0, 1], got {self.budget_fraction}")
         if self.replay_m > self.budget_fraction * self.episodes_per_task:
             raise ConfigError(
                 f"replay_m={self.replay_m} exceeds the {self.budget_fraction:.0%} "

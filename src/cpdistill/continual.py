@@ -566,19 +566,8 @@ class ProtocolRunner:
             pair = next(idx for idx in per_label if idx.size >= 2)
             rest = [idx[0] for idx in per_label if idx is not pair]
             return np.array([*pair[:2], *rest[: size - 2]], dtype=np.intp)
-        order = []
-        depth = 0
-        while len(order) < size:
-            added = False
-            for idx in per_label:
-                if depth < idx.size:
-                    order.append(idx[depth])
-                    added = True
-                    if len(order) == size:
-                        break
-            if not added:
-                break
-            depth += 1
+        deepest = max(idx.size for idx in per_label)
+        order = [idx[d] for d in range(deepest) for idx in per_label if d < idx.size][:size]
         return np.array(order, dtype=np.intp)
 
     def _fisher_batches(self, dataset: DistillDataset, k: int) -> list:

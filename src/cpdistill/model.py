@@ -58,20 +58,13 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        dims = (
-            self.obs_dim,
-            self.action_dim,
-            self.hidden_dim,
-            self.depth,
-            self.experts_per_layer,
-            self.mlp_multiplier,
-            self.top_k,
-            self.seq_len,
-            self.task_embed_dim,
-            self.n_heads,
-        )
-        if any(d < 1 for d in dims):
-            raise ConfigError("all model dimensions must be positive")
+        for key in (
+            "obs_dim", "action_dim", "hidden_dim", "depth", "experts_per_layer",
+            "mlp_multiplier", "top_k", "seq_len", "task_embed_dim", "n_heads",
+            "stats_chunks", "encoder_hidden",
+        ):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model {key} must be positive, got {getattr(self, key)}")
         if self.top_k > self.experts_per_layer:
             raise ConfigError("top_k cannot exceed the number of experts")
         if self.hidden_dim % self.n_heads:
@@ -100,6 +93,9 @@ class ExpansionConfig:
             raise ConfigError("experts_added must be >= 0")
         if not self.cold_start_bias < 0:
             raise ConfigError("cold_start_bias must be negative")
+        for key in ("init_noise_std", "gate_col_noise_std"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"expansion {key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass

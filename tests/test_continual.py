@@ -244,6 +244,17 @@ def test_config_rejects_removed_knobs():
     (dict(model={"obs_dim": 5}), "obs_dim"),
     (dict(model={"action_dim": 3}), "action_dim"),
     (dict(infonce_trajs=1), "infonce_trajs"),
+    (dict(lr=-1.0), "lr"),
+    (dict(lr=0.0), "lr"),
+    (dict(kl_sigma0=0.0), "kl_sigma0"),
+    (dict(infonce_tau=0.0), "infonce_tau"),
+    (dict(teacher_noise=-1.0), "teacher_noise"),
+    (dict(expansion={"init_noise_std": -1.0}), "init_noise_std"),
+    (dict(expansion={"gate_col_noise_std": -1.0}), "gate_col_noise_std"),
+    (dict(model={"stats_chunks": 0}), "stats_chunks"),
+    (dict(model={"encoder_hidden": 0}), "encoder_hidden"),
+    (dict(budget_fraction=-0.1), "budget_fraction"),
+    (dict(budget_fraction=1.5), "budget_fraction"),
 ])
 def test_config_rejects_bad_values_at_construction(over, key):
     with pytest.raises(ConfigError, match=key):

@@ -3,6 +3,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cpdistill.errors import ConfigError, InputError
 from cpdistill.replay import (
@@ -134,6 +137,28 @@ def test_dpp_dominates_baselines_on_random_pools():
         wins_rand += d_greedy >= d_rand - 1e-9
     assert wins_ffs >= 0.9 * trials
     assert wins_rand >= 0.9 * trials
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.data())
+def test_greedy_dpp_never_beats_the_exact_map(data):
+    n = data.draw(st.integers(1, 10))
+    m = data.draw(st.integers(1, min(4, n)))
+    x = data.draw(hnp.arrays(np.float64, (n, data.draw(st.integers(1, 4))),
+                             elements=st.floats(-2.0, 2.0, allow_nan=False)))
+    # an identity block adds I/4 to the Gram matrix: every minor is
+    # nonsingular, so the exhaustive search is not decided by rounding
+    feats = np.hstack([x, 0.5 * np.eye(n)])
+    gram = build_kernel(feats)
+    greedy = select(feats, m, strategy="dpp")
+    assert len(set(greedy)) == m
+    assert subset_log_det(gram, greedy) <= subset_log_det(gram, exact_dpp(gram, m)) + 1e-9
+    # and each pick is the one-item extension of largest log-det
+    for i in range(1, m):
+        rest = [j for j in range(n) if j not in greedy[:i]]
+        best = max(subset_log_det(gram, greedy[:i] + [j]) for j in rest)
+        assert subset_log_det(gram, greedy[: i + 1]) >= best - 1e-9
+    assert select(feats, 1, strategy="dpp") == exact_dpp(gram, 1)
 
 
 def test_budget_arithmetic():

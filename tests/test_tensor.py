@@ -1,6 +1,9 @@
 """Kernel-level gradient checks against central finite differences."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cpdistill import tensor as T
 from cpdistill.optim import ParamGroup
@@ -271,3 +274,126 @@ def test_no_grad_builds_no_graph():
     with T.no_grad():
         out = T.Tensor(np.ones((2, 2))) @ w.tensor
     assert out._backward is None and not out.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# property tests: every differentiable kernel against central finite
+# differences, in float64, on random small shapes. Entries lie in [-2, 2] so
+# that the differences stay accurate; derandomized, so every run draws the
+# same examples.
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=50)
+ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+AWAY_FROM_ZERO = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+SIDES = st.integers(1, 3)
+
+
+def drawn(data, shape, elements=ENTRIES):
+    return data.draw(hnp.arrays(np.float64, tuple(shape), elements=elements))
+
+
+def projected(data, out):
+    """A scalar that reads every entry of ``out`` through a drawn weight."""
+    return T.tsum(out * T.Tensor(drawn(data, out.shape)))
+
+
+@PROPERTY
+@given(st.data())
+def test_matmul_matches_finite_differences(data):
+    n, k, m = (data.draw(SIDES) for _ in range(3))
+    lead = tuple(data.draw(st.lists(SIDES, max_size=2)))
+    # stacked @ 2-D takes the flat path; stacked @ stacked broadcasts
+    b_lead = data.draw(st.sampled_from([(), lead, (1,) * len(lead)]))
+    a = param("a", drawn(data, (*lead, n, k)))
+    b = param("b", drawn(data, (*b_lead, k, m)))
+    w = drawn(data, (*lead, n, m))
+    check_grads(lambda: T.tsum((a.tensor @ b.tensor) * T.Tensor(w)), [a, b])
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([T.add, T.sub, T.mul, T.div]))
+def test_broadcast_arithmetic_matches_finite_differences(data, op):
+    a_shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=3))
+    b_shape = data.draw(hnp.broadcastable_shapes(a_shape, min_dims=0, max_dims=3, max_side=3))
+    a = param("a", drawn(data, a_shape))
+    b = param("b", drawn(data, b_shape, AWAY_FROM_ZERO if op is T.div else ENTRIES))
+    w = drawn(data, np.broadcast_shapes(a_shape, b_shape))
+    check_grads(lambda: T.tsum(op(a.tensor, b.tensor) * T.Tensor(w)), [a, b])
+
+
+@PROPERTY
+@given(st.data())
+def test_softmax_and_gelu_match_finite_differences(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    x = param("x", drawn(data, shape))
+    w, v = drawn(data, shape), drawn(data, shape)
+    check_grads(lambda: T.tsum(T.softmax(x.tensor, axis=axis) * T.Tensor(w))
+                + T.tsum(T.gelu(x.tensor) * T.Tensor(v)), [x])
+
+
+@PROPERTY
+@given(st.data())
+def test_layer_norm_matches_finite_differences(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=4))
+    rows = drawn(data, shape)
+    # a near-constant row has a huge normalizing factor, which central
+    # differences cannot follow
+    assume(np.all(rows.var(axis=-1) > 1e-2))
+    x = param("x", rows)
+    gain, bias = param("gain", drawn(data, shape[-1:])), param("bias", drawn(data, shape[-1:]))
+    w = drawn(data, shape)
+    check_grads(lambda: T.tsum(T.layer_norm(x.tensor, gain.tensor, bias.tensor) * T.Tensor(w)),
+                [x, gain, bias])
+
+
+@PROPERTY
+@given(st.data(), st.booleans())
+def test_take_and_put_rows_match_finite_differences(data, unique):
+    n, width = data.draw(st.integers(1, 5)), data.draw(SIDES)
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6,
+                                      unique=unique)))
+    out = data.draw(st.integers(n, 6))
+    table = param("table", drawn(data, (n, width)))
+    rows = param("rows", drawn(data, (idx.size, width)))
+    w, v = drawn(data, (idx.size, width)), drawn(data, (out, width))
+    check_grads(lambda: T.tsum(T.take_rows(table.tensor, idx) * T.Tensor(w))
+                + T.tsum(T.put_rows(rows.tensor, idx, out) * T.Tensor(v)), [table, rows])
+
+
+@PROPERTY
+@given(st.data())
+def test_concat_and_slicing_match_finite_differences(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3))
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    parts = [param(f"p{i}", drawn(data, shape[:axis] + (data.draw(SIDES),) + shape[axis + 1:]))
+             for i in range(data.draw(st.integers(1, 3)))]
+    x = param("x", drawn(data, shape))
+    # two keys into one tensor: overlapping reads add up in its gradient
+    keys = [data.draw(hnp.basic_indices(shape, allow_ellipsis=True)) for _ in range(2)]
+    joined = T.concat([p.tensor for p in parts], axis=axis)
+    w = drawn(data, joined.shape)
+    vs = [drawn(data, x.tensor.data[key].shape) for key in keys]
+
+    def build():
+        out = T.tsum(T.concat([p.tensor for p in parts], axis=axis) * T.Tensor(w))
+        for key, v in zip(keys, vs):
+            out = out + T.tsum(x.tensor[key] * T.Tensor(v))
+        return out
+
+    check_grads(build, [*parts, x])
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([T.tsum, T.tmean]), st.booleans())
+def test_reductions_match_finite_differences(data, reduce, keepdims):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3))
+    axis = data.draw(st.one_of(
+        st.none(),
+        st.integers(-len(shape), len(shape) - 1),
+        hnp.valid_tuple_axes(len(shape), min_size=1),
+    ))
+    x = param("x", drawn(data, shape))
+    w = drawn(data, reduce(x.tensor, axis=axis, keepdims=keepdims).shape)
+    check_grads(lambda: T.tsum(reduce(x.tensor, axis=axis, keepdims=keepdims) * T.Tensor(w)),
+                [x])
