@@ -56,6 +56,7 @@ from pathlib import Path
 import cpdistill
 from cpdistill.cli import main as cpdistill_main
 from cpdistill.config import STRATEGIES
+from oracles import tree_bytes
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, protocol_dict  # noqa: E402
@@ -104,10 +105,6 @@ def inspect_run(log: Log, name: str, n_stages: int) -> None:
     for k in range(1, n_stages + 1):
         log.run("eval", "--out", name, "--stage", str(k))
     log.run("report", "--out", name)
-
-
-def tree_bytes(d: Path) -> dict:
-    return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
 
 def main(argv=None) -> int:

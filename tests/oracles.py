@@ -119,3 +119,8 @@ def encode_trajectory(encoder, traj, n_chunks: int = 8) -> np.ndarray:
     """One trajectory's unit-norm embedding, with no graph."""
     with T.no_grad():
         return encoder.encode(traj_stats(traj, n_chunks)[None, :]).data[0]
+
+
+def tree_bytes(d) -> dict:
+    """Every file under ``d``, by its path relative to ``d``, to its bytes."""
+    return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}

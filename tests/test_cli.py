@@ -12,6 +12,7 @@ from cpdistill.continual import ProtocolRunner
 from cpdistill.metrics import MetricsMatrix
 from cpdistill.report import render_report
 from cpdistill.taskctx import load_contexts
+from oracles import tree_bytes
 
 
 @pytest.fixture()
@@ -216,10 +217,6 @@ def test_negative_seed_is_a_config_error(config_path, tmp_path, capsys):
     assert captured.out == ""
     assert "ConfigError" in captured.err and "-1" in captured.err
     assert not run_dir.exists()
-
-
-def tree_bytes(d):
-    return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
 
 def test_resume_refuses_a_changed_config(config_path, tmp_path, capsys):

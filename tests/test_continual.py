@@ -21,6 +21,7 @@ from cpdistill.metrics import accuracy, bwt
 from cpdistill.model import ModelConfig, StudentModel
 from cpdistill.teachers import TeacherPolicy, collect, make_task_stream
 from cpdistill.tensor import Tensor
+from oracles import tree_bytes
 
 
 def tiny_protocol(**over):
@@ -40,11 +41,6 @@ def tiny_protocol(**over):
     )
     base.update(over)
     return ProtocolConfig(**base)
-
-
-def tree_bytes(d):
-    """Every file under ``d``, by its path relative to ``d``, to its bytes."""
-    return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
 
 def small_model(seed=0):
