@@ -740,6 +740,7 @@ def run_protocol(
         saved = Path(out_dir) / "config.json"
         if not saved.exists():
             save_config(saved, config)
+        # compared as config.json holds it: JSON turns tuples into lists
         elif json.loads(saved.read_text()) != json.loads(json.dumps(config.to_dict())):
             raise StateError(f"{saved} holds another config: {out_dir} is another run's directory")
     matrix = runner.run()

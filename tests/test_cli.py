@@ -219,13 +219,13 @@ def test_negative_seed_is_a_config_error(config_path, tmp_path, capsys):
     assert not run_dir.exists()
 
 
-def test_resume_refuses_a_changed_config(config_path, tmp_path, capsys):
+def test_resume_refuses_a_changed_config(config_path, tmp_path, capsys, monkeypatch):
     save_config(config_path, ProtocolConfig.from_dict(
         {**load_config(config_path).to_dict(), "n_stages": 1}))
     run_dir = tmp_path / "run"
     assert main(["distill", "--config", str(config_path), "--seed", "3",
                  "--out", str(run_dir)]) == 0
-    capsys.readouterr()
+    table = capsys.readouterr().out
     before = tree_bytes(run_dir)
     changed = tmp_path / "changed.json"
     save_config(changed, ProtocolConfig.from_dict(
@@ -238,24 +238,14 @@ def test_resume_refuses_a_changed_config(config_path, tmp_path, capsys):
         assert "StateError" in captured.err and "config.json" in captured.err
     assert tree_bytes(run_dir) == before
 
-    # the run's own config continues it: every stage is complete, nothing changes
-    assert main(["distill", "--config", str(config_path), "--seed", "3",
-                 "--out", str(run_dir)]) == 0
-    assert tree_bytes(run_dir) == before
-
-
-def test_distill_into_a_finished_run_changes_nothing(config_path, tmp_path, capsys, monkeypatch):
-    run_dir = tmp_path / "run"
-    argv = ["distill", "--config", str(config_path), "--seed", "3", "--out", str(run_dir)]
-    assert main(argv) == 0
-    table = capsys.readouterr().out
-    before = tree_bytes(run_dir)
-
+    # the run's own config continues it: every stage is complete, so nothing
+    # trains or changes, and the run's table is printed again
     def no_training(*args):
         raise AssertionError("a finished run trained again")
 
     monkeypatch.setattr(ProtocolRunner, "_train_step", no_training)
-    assert main(argv) == 0
+    assert main(["distill", "--config", str(config_path), "--seed", "3",
+                 "--out", str(run_dir)]) == 0
     assert capsys.readouterr().out == table
     assert tree_bytes(run_dir) == before
 

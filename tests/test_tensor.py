@@ -277,10 +277,10 @@ def test_no_grad_builds_no_graph():
 
 
 # ---------------------------------------------------------------------------
-# property tests: every differentiable kernel against central finite
-# differences, in float64, on random small shapes. Entries lie in [-2, 2] so
-# that the differences stay accurate; derandomized, so every run draws the
-# same examples.
+# property tests: the kernels a student forward pass is built from, against
+# central finite differences in float64 on random small shapes. Entries lie
+# in [-2, 2] so that the differences stay accurate; derandomized, so every
+# run draws the same examples.
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=50)
 ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -290,11 +290,6 @@ SIDES = st.integers(1, 3)
 
 def drawn(data, shape, elements=ENTRIES):
     return data.draw(hnp.arrays(np.float64, tuple(shape), elements=elements))
-
-
-def projected(data, out):
-    """A scalar that reads every entry of ``out`` through a drawn weight."""
-    return T.tsum(out * T.Tensor(drawn(data, out.shape)))
 
 
 @PROPERTY
