@@ -33,8 +33,8 @@ Top-level keys
                         encoder_hidden, dtype)
     suite               SuiteConfig fields (horizon, success_threshold,
                         start_range, goal_ring, goal_radius, max_tasks);
-                        the horizon must be a multiple of the model's
-                        seq_len
+                        the horizon must be a multiple of 20, the fixed
+                        length of the slices replay selection averages
     lambda_schedule     start / step_decrement / floor
     expansion           experts_added / init_noise_std / cold_start_bias /
                         gate_col_noise_std
@@ -42,8 +42,10 @@ Top-level keys
 Counts must be positive (replay_m and the epoch counts may be 0,
 max_steps may be None, and infonce_trajs must be at least 2), and so must
 model stats_chunks and encoder_hidden. lr, infonce_tau and kl_sigma0 must
-be > 0; teacher_noise and the expansion's init_noise_std and
-gate_col_noise_std must be >= 0; budget_fraction must lie in (0, 1]. A bad
+be > 0. The weights and noise stds must be >= 0, since a negative one flips
+the sign of its term: weight_decay, teacher_noise, infonce_weight,
+ewc_lambda, the lambda_schedule values, and the expansion's init_noise_std
+and gate_col_noise_std. budget_fraction must lie in (0, 1]. A bad
 value or an unknown key, at the top level or in a section, raises
 ConfigError naming it when the config is built.
 """
@@ -55,7 +57,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import ExpansionConfig, ModelConfig
-from .replay import STRATEGIES as REPLAY_STRATEGIES
+from .replay import SLICE_LEN as REPLAY_SLICE_LEN, STRATEGIES as REPLAY_STRATEGIES
 from .teachers import ACTION_DIM, OBS_DIM, SuiteConfig
 
 __all__ = [
@@ -96,6 +98,11 @@ class LambdaSchedule:
     start: float = 0.01
     step_decrement: float = 5e-5
     floor: float = 1e-4
+
+    def __post_init__(self):
+        for key in ("start", "step_decrement", "floor"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"lambda_schedule {key} must be >= 0, got {getattr(self, key)}")
 
     def value(self, t: int) -> float:
         if t < 0:
@@ -152,8 +159,9 @@ class ProtocolConfig:
         for key in ("lr", "infonce_tau", "kl_sigma0"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
-        if not self.teacher_noise >= 0:
-            raise ConfigError(f"teacher_noise must be >= 0, got {self.teacher_noise}")
+        for key in ("weight_decay", "teacher_noise", "infonce_weight", "ewc_lambda"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if not 0 < self.budget_fraction <= 1:
             raise ConfigError(f"budget_fraction must lie in (0, 1], got {self.budget_fraction}")
         if self.replay_m > self.budget_fraction * self.episodes_per_task:
@@ -165,6 +173,11 @@ class ProtocolConfig:
         if "goal_ring" in suite:
             suite["goal_ring"] = tuple(suite["goal_ring"])
         self._suite = _build(SuiteConfig, "suite", suite)
+        if self._suite.horizon % REPLAY_SLICE_LEN:
+            raise ConfigError(
+                f"suite horizon {self._suite.horizon} must be a multiple of the "
+                f"{REPLAY_SLICE_LEN}-step replay slice"
+            )
         for key in ("obs_dim", "action_dim"):
             if key in self.model:
                 raise ConfigError(f"model {key} is fixed by the point-mass suite; do not set it")
@@ -173,11 +186,6 @@ class ProtocolConfig:
         )
         self._schedule = _build(LambdaSchedule, "lambda_schedule", self.lambda_schedule)
         self._expansion = _build(ExpansionConfig, "expansion", self.expansion)
-        if self._suite.horizon % self._model.seq_len:
-            raise ConfigError(
-                f"suite horizon {self._suite.horizon} must be a multiple of the model "
-                f"seq_len {self._model.seq_len} for replay slicing"
-            )
 
     def suite_config(self) -> SuiteConfig:
         return self._suite

@@ -46,7 +46,8 @@ the run in ``out_dir`` after its newest complete stage; a missing or empty
 directory is a straight run, and a finished run is left as it is. It
 raises `StateError`, writing nothing, when ``config.json`` holds another
 config, and `load_stage` raises it when the newest stage was written with
-another seed. `open_stage` (``cpdistill eval``) restores stage k from the
+another seed; ``config.json`` is written, when absent, only after that
+stage has loaded. `open_stage` (``cpdistill eval``) restores stage k from the
 directory alone: the config from ``config.json``, the seed from
 ``stage_k/state.json``. ``cpdistill report`` picks its stage with
 `completed_stages`.
@@ -352,10 +353,24 @@ class ProtocolRunner:
 
     def run(self) -> MetricsMatrix:
         """Run the stages after the newest complete one in ``out_dir``, or
-        every stage when it holds none."""
-        done = completed_stages(self.out_dir) if self.out_dir is not None else []
-        if done:
-            self.load_stage(done[-1])
+        every stage when it holds none. Raises `StateError`, writing
+        nothing, when ``out_dir`` holds another run; writes
+        ``config.json``, when absent, once the newest stage has loaded."""
+        done = []
+        if self.out_dir is not None:
+            saved = self.out_dir / "config.json"
+            # compared as config.json holds it: JSON turns tuples into lists
+            if saved.exists() and json.loads(saved.read_text()) != json.loads(
+                json.dumps(self.config.to_dict())
+            ):
+                raise StateError(
+                    f"{saved} holds another config: {self.out_dir} is another run's directory"
+                )
+            done = completed_stages(self.out_dir)
+            if done:
+                self.load_stage(done[-1])
+            if not saved.exists():
+                save_config(saved, self.config)
         for k in range(done[-1] + 1 if done else 1, self.config.n_stages + 1):
             self.run_stage(self.stage_config(k), self.stream[k - 1])
         return self.matrix
@@ -448,7 +463,6 @@ class ProtocolRunner:
                     continue
                 chosen, audit = select_replay(
                     pool,
-                    slice_len=self.model_cfg.seq_len,
                     m=self.config.replay_m,
                     strategy=self.config.replay_strategy,
                     seed=seeds.int_seed(self.seed, k, seeds.SELECT, i),
@@ -732,17 +746,9 @@ def run_protocol(
     config: ProtocolConfig, seed: int, out_dir=None
 ) -> tuple[MetricsMatrix, ProtocolRunner]:
     """Run the staged protocol. With ``out_dir`` it continues the run there
-    after its newest complete stage, writes checkpoints and artifacts, and
-    echoes the config for reproducibility; it raises `StateError`, writing
-    nothing, when ``out_dir/config.json`` holds another config."""
+    (`ProtocolRunner.run`), writes checkpoints and artifacts, and echoes the
+    config for reproducibility."""
     runner = ProtocolRunner(config, seed, out_dir=out_dir)
-    if out_dir is not None:
-        saved = Path(out_dir) / "config.json"
-        if not saved.exists():
-            save_config(saved, config)
-        # compared as config.json holds it: JSON turns tuples into lists
-        elif json.loads(saved.read_text()) != json.loads(json.dumps(config.to_dict())):
-            raise StateError(f"{saved} holds another config: {out_dir} is another run's directory")
     matrix = runner.run()
     if out_dir is not None:
         matrix.save(Path(out_dir) / "metrics.tsv")

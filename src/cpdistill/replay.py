@@ -1,7 +1,8 @@
 """Diversity-aware trajectory selection for the replay buffer.
 
-Each trajectory is featurized as the concatenation of its slice-wise state
-means (slice length = the model's sequence length), features are centered
+Each trajectory is featurized as the concatenation of its state means over
+consecutive slices of a fixed SLICE_LEN = 20 steps, not the window the
+student reads, so the window changes no selection. Features are centered
 and scaled to unit average norm, and the Gram matrix L = V V^T feeds the
 selector. Selection strategies: greedy MAP for a determinantal point
 process (log-det gain), farthest-first, and seeded random. A malformed pool
@@ -30,17 +31,17 @@ __all__ = [
 ]
 
 STRATEGIES = ("dpp", "ffs", "random")
+SLICE_LEN = 20
 
 
-def featurize(traj, slice_len: int) -> np.ndarray:
-    """Concatenate per-slice state means; trajectory length must divide."""
+def featurize(traj) -> np.ndarray:
+    """Concatenate per-slice state means; the trajectory's length must be a
+    multiple of SLICE_LEN."""
     states = np.asarray(traj.states, dtype=np.float64)[: len(traj.actions)]
     h = states.shape[0]
-    if h == 0 or h % slice_len != 0:
-        raise InputError(
-            f"horizon {h} is not a positive multiple of slice length {slice_len}"
-        )
-    return states.reshape(h // slice_len, slice_len, -1).mean(axis=1).reshape(-1)
+    if h == 0 or h % SLICE_LEN != 0:
+        raise InputError(f"horizon {h} is not a positive multiple of slice length {SLICE_LEN}")
+    return states.reshape(h // SLICE_LEN, SLICE_LEN, -1).mean(axis=1).reshape(-1)
 
 
 def preprocess_features(features: np.ndarray) -> np.ndarray:
@@ -195,14 +196,13 @@ def update_buffer(buffer: ReplayBuffer, n_new_distill: int, task_id: str, select
 
 def select_replay(
     trajs: list,
-    slice_len: int,
     m: int,
     strategy: str = "dpp",
     seed: int = 0,
     stage: int = 0,
 ) -> tuple[list, SelectionAudit]:
     """Full pipeline for one task: featurize, preprocess, select, audit."""
-    feats = [featurize(t, slice_len) for t in trajs]
+    feats = [featurize(t) for t in trajs]
     if len({f.shape for f in feats}) != 1:
         raise InputError("mixed horizons in one selection pool")
     prepped = preprocess_features(np.stack(feats))

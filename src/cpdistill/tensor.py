@@ -2,13 +2,13 @@
 
 The kernel set is deliberately closed: matmul, add, elementwise mul/div,
 layer norm, softmax, GELU, row lookup/scatter (embedding + MoE dispatch),
-top-k selection, log, exp, sqrt, power, concatenate, slicing, and the
+top-k selection, log, exp, sqrt, concatenate, slicing, and the
 reshape/transpose/sum/mean plumbing needed to compose losses. float64 is
 the default precision; float32 works but the tight gradient-check
 tolerances assume 64-bit. `DimensionError` and `NumericError` are the
 `cpdistill.errors` classes.
 
-Numerically risky kernels (matmul, div, log, exp, sqrt, pow, gelu, softmax,
+Numerically risky kernels (matmul, div, log, exp, sqrt, gelu, softmax,
 layer_norm) validate their outputs and raise NumericError naming the
 kernel. Pure data movement (add, mul, concat, slice, reshape, transpose)
 cannot create non-finite values from finite inputs and is left unchecked.
@@ -44,7 +44,6 @@ __all__ = [
     "add",
     "mul",
     "sub",
-    "neg",
     "div",
     "matmul",
     "transpose",
@@ -54,7 +53,6 @@ __all__ = [
     "log",
     "exp",
     "sqrt",
-    "pow_const",
     "gelu",
     "softmax",
     "layer_norm",
@@ -142,40 +140,22 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar over the kernel functions; python scalars adopt the
-    # tensor's dtype so float32 graphs stay float32
+    # operator sugar over the kernel functions, with the tensor on the left;
+    # python scalars adopt the tensor's dtype so float32 graphs stay float32
     def __add__(self, other):
         return add(self, _ensure(other, self))
-
-    def __radd__(self, other):
-        return add(_ensure(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _ensure(other, self))
 
-    def __rmul__(self, other):
-        return mul(_ensure(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _ensure(other, self))
-
-    def __rsub__(self, other):
-        return sub(_ensure(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __truediv__(self, other):
         return div(self, _ensure(other, self))
 
-    def __rtruediv__(self, other):
-        return div(_ensure(other, self), self)
-
     def __matmul__(self, other):
         return matmul(self, _ensure(other, self))
-
-    def __pow__(self, p):
-        return pow_const(self, p)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -184,10 +164,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _ensure(x, like: "Tensor | None" = None) -> Tensor:
+def _ensure(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    if like is not None and np.isscalar(x):
+    if np.isscalar(x):
         return Tensor(np.asarray(x, dtype=like.data.dtype))
     return Tensor(x)
 
@@ -282,13 +262,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(-g, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, -g, fresh=True)
-
-    return _make(-a.data, (a,), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -423,17 +396,6 @@ def sqrt(a: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, g * 0.5 / data, fresh=True)
-
-    return _make(data, (a,), backward)
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    with np.errstate(invalid="ignore"):
-        data = a.data**p
-    _check_finite(data, "pow")
-
-    def backward(g):
-        _accum(a, g * p * a.data ** (p - 1), fresh=True)
 
     return _make(data, (a,), backward)
 

@@ -268,3 +268,15 @@ def test_distill_refuses_another_runs_directory(config_path, tmp_path, capsys):
         assert captured.out == ""
         assert "StateError" in captured.err and names in captured.err
         assert tree_bytes(run_dir) == before
+
+    # without config.json only the newest stage tells the seed, and a
+    # refused run writes no config.json beside it
+    bare = tmp_path / "bare"
+    shutil.copytree(run_dir, bare)
+    (bare / "config.json").unlink()
+    before = tree_bytes(bare)
+    assert main(["distill", "--config", str(config_path), "--seed", "4",
+                 "--out", str(bare)]) == 2
+    captured = capsys.readouterr()
+    assert "StateError" in captured.err and "seed" in captured.err
+    assert tree_bytes(bare) == before

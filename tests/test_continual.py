@@ -251,10 +251,42 @@ def test_config_rejects_removed_knobs():
     (dict(model={"encoder_hidden": 0}), "encoder_hidden"),
     (dict(budget_fraction=-0.1), "budget_fraction"),
     (dict(budget_fraction=1.5), "budget_fraction"),
+    (dict(weight_decay=-1.0), "weight_decay"),
+    (dict(infonce_weight=-1.0), "infonce_weight"),
+    (dict(ewc_lambda=-1.0), "ewc_lambda"),
+    (dict(lambda_schedule={"start": -1.0}), "lambda_schedule start"),
+    (dict(lambda_schedule={"step_decrement": -1e-5}), "lambda_schedule step_decrement"),
+    (dict(lambda_schedule={"floor": -1.0}), "lambda_schedule floor"),
 ])
 def test_config_rejects_bad_values_at_construction(over, key):
     with pytest.raises(ConfigError, match=key):
         tiny_protocol(**over)
+
+
+def test_config_accepts_zero_weights():
+    cfg = tiny_protocol(weight_decay=0.0, infonce_weight=0.0, ewc_lambda=0.0,
+                        lambda_schedule={"start": 0.0, "step_decrement": 0.0, "floor": 0.0})
+    assert cfg.infonce_weight == 0.0 and cfg.schedule().value(7) == 0.0
+
+
+def test_horizon_follows_the_replay_slice_not_the_window():
+    model = tiny_protocol().model
+    for seq_len in (20, 4, 3, 1):
+        assert tiny_protocol(model={**model, "seq_len": seq_len}).model_config().seq_len == seq_len
+    with pytest.raises(ConfigError, match="20-step replay slice"):
+        tiny_protocol(suite={"horizon": 30})
+
+
+def test_replay_selection_reads_no_window(tmp_path):
+    # replay averages fixed 20-step slices, so the student's window changes
+    # neither the trajectories a stage keeps nor their audit
+    kept = set()
+    for seq_len in (20, 4, 3, 1):
+        cfg = tiny_protocol(n_stages=1, model={**tiny_protocol().model, "seq_len": seq_len})
+        run_protocol(cfg, seed=5, out_dir=tmp_path / str(seq_len))
+        stage = tmp_path / str(seq_len) / "stage_1"
+        kept.add(((stage / "audits.tsv").read_bytes(), (stage / "buffer.jsonl").read_bytes()))
+    assert len(kept) == 1
 
 
 def test_config_rejects_unknown_replay_strategy():

@@ -37,16 +37,16 @@ def traj_with_states(states, task_id="t", seed=0):
 def test_featurize_dimensions():
     rng = np.random.default_rng(0)
     traj = traj_with_states(rng.normal(size=(41, 4)))
-    assert featurize(traj, 20).shape == (2 * 4,)
+    assert featurize(traj).shape == (2 * 4,)
 
     const = traj_with_states(np.full((41, 4), 3.25))
-    assert np.all(featurize(const, 20) == 3.25)
+    assert np.all(featurize(const) == 3.25)
 
     long = traj_with_states(rng.normal(size=(501, 4)))
-    assert featurize(long, 20).shape == (25 * 4,)
+    assert featurize(long).shape == (25 * 4,)
 
     with pytest.raises(InputError):
-        featurize(traj_with_states(rng.normal(size=(42, 4))), 20)
+        featurize(traj_with_states(rng.normal(size=(42, 4))))
 
 
 def test_kernel_construction():
@@ -191,13 +191,13 @@ def test_select_replay_pipeline_and_audit():
         traj_with_states(rng.normal(size=(41, 4)) + i, task_id="push-00", seed=i)
         for i in range(12)
     ]
-    chosen, audit = select_replay(trajs, slice_len=20, m=3, strategy="dpp", seed=5, stage=2)
+    chosen, audit = select_replay(trajs, m=3, strategy="dpp", seed=5, stage=2)
     assert len(chosen) == 3
     assert audit.task_id == "push-00"
     assert audit.strategy == "dpp"
     assert len(audit.chosen_ids) == 3
     assert np.isfinite(audit.log_det)
-    again, _ = select_replay(trajs, slice_len=20, m=3, strategy="dpp", seed=5, stage=2)
+    again, _ = select_replay(trajs, m=3, strategy="dpp", seed=5, stage=2)
     assert [t.seed for t in again] == [t.seed for t in chosen]
 
 
