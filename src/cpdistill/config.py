@@ -31,23 +31,24 @@ Top-level keys
                         experts_per_layer, mlp_multiplier, top_k, seq_len,
                         task_embed_dim, n_heads, stats_chunks,
                         encoder_hidden, dtype)
-    suite               SuiteConfig fields (horizon, success_threshold,
-                        start_range, goal_ring, goal_radius, max_tasks);
-                        the horizon must be a multiple of 20, the fixed
-                        length of the slices replay selection averages
-    lambda_schedule     start / step_decrement / floor
     expansion           experts_added / init_noise_std / cold_start_bias /
                         gate_col_noise_std
 
-Counts must be positive (replay_m and the epoch counts may be 0,
-max_steps may be None, and infonce_trajs must be at least 2), and so must
-model stats_chunks and encoder_hidden. lr, infonce_tau and kl_sigma0 must
-be > 0. The weights and noise stds must be >= 0, since a negative one flips
-the sign of its term: weight_decay, teacher_noise, infonce_weight,
-ewc_lambda, the lambda_schedule values, and the expansion's init_noise_std
-and gate_col_noise_std. budget_fraction must lie in (0, 1]. A bad
-value or an unknown key, at the top level or in a section, raises
-ConfigError naming it when the config is built.
+The point-mass suite (`cpdistill.teachers`) and the weight of the
+load-balancing loss (`cpdistill.continual.aux_lambda`) are fixed, not
+configured.
+
+Each value must have its field's type: an int for a count (not a bool), an
+int or a float for a rate, a str, a dict for a section, and an int or None
+for max_steps. Counts must be positive (replay_m and the epoch counts may be
+0, max_steps may be None, and infonce_trajs must be at least 2), and so must
+model stats_chunks and encoder_hidden. support_episodes may not exceed
+episodes_per_task. lr, infonce_tau and kl_sigma0 must be > 0. The weights
+and noise stds must be >= 0, since a negative one flips the sign of its
+term: weight_decay, teacher_noise, infonce_weight, ewc_lambda, and the
+expansion's init_noise_std and gate_col_noise_std. budget_fraction must lie
+in (0, 1]. A bad value or an unknown key, at the top level or in a section,
+raises ConfigError naming it when the config is built.
 """
 from __future__ import annotations
 
@@ -57,11 +58,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import ExpansionConfig, ModelConfig
-from .replay import SLICE_LEN as REPLAY_SLICE_LEN, STRATEGIES as REPLAY_STRATEGIES
-from .teachers import ACTION_DIM, OBS_DIM, SuiteConfig
+from .replay import STRATEGIES as REPLAY_STRATEGIES
+from .teachers import ACTION_DIM, OBS_DIM
 
 __all__ = [
-    "LambdaSchedule", "StrategyTraits", "STRATEGY_TRAITS", "STRATEGIES", "ProtocolConfig",
+    "StrategyTraits", "STRATEGY_TRAITS", "STRATEGIES", "ProtocolConfig",
     "load_config", "save_config", "desk_config",
 ]
 
@@ -94,23 +95,6 @@ _COUNTS = (
 
 
 @dataclass
-class LambdaSchedule:
-    start: float = 0.01
-    step_decrement: float = 5e-5
-    floor: float = 1e-4
-
-    def __post_init__(self):
-        for key in ("start", "step_decrement", "floor"):
-            if not getattr(self, key) >= 0:
-                raise ConfigError(f"lambda_schedule {key} must be >= 0, got {getattr(self, key)}")
-
-    def value(self, t: int) -> float:
-        if t < 0:
-            raise ConfigError("schedule step must be >= 0")
-        return max(self.floor, self.start - t * self.step_decrement)
-
-
-@dataclass
 class ProtocolConfig:
     strategy: str = "ours"
     n_stages: int = 5
@@ -135,11 +119,10 @@ class ProtocolConfig:
     ewc_batches: int = 8
     kl_sigma0: float = 1.0
     model: dict = field(default_factory=dict)
-    suite: dict = field(default_factory=dict)
-    lambda_schedule: dict = field(default_factory=dict)
     expansion: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_types(ProtocolConfig, "config", vars(self))
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
         if self.replay_strategy not in REPLAY_STRATEGIES:
@@ -149,6 +132,11 @@ class ProtocolConfig:
         for key in _COUNTS:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.support_episodes > self.episodes_per_task:
+            raise ConfigError(
+                f"support_episodes={self.support_episodes} exceeds the "
+                f"{self.episodes_per_task} episodes per task"
+            )
         for key in ("epochs_stage1", "epochs_later", "replay_m"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
@@ -169,32 +157,16 @@ class ProtocolConfig:
                 f"replay_m={self.replay_m} exceeds the {self.budget_fraction:.0%} "
                 f"budget for {self.episodes_per_task} episodes per task"
             )
-        suite = dict(self.suite)
-        if "goal_ring" in suite:
-            suite["goal_ring"] = tuple(suite["goal_ring"])
-        self._suite = _build(SuiteConfig, "suite", suite)
-        if self._suite.horizon % REPLAY_SLICE_LEN:
-            raise ConfigError(
-                f"suite horizon {self._suite.horizon} must be a multiple of the "
-                f"{REPLAY_SLICE_LEN}-step replay slice"
-            )
         for key in ("obs_dim", "action_dim"):
             if key in self.model:
                 raise ConfigError(f"model {key} is fixed by the point-mass suite; do not set it")
         self._model = _build(
             ModelConfig, "model", {**self.model, "obs_dim": OBS_DIM, "action_dim": ACTION_DIM}
         )
-        self._schedule = _build(LambdaSchedule, "lambda_schedule", self.lambda_schedule)
         self._expansion = _build(ExpansionConfig, "expansion", self.expansion)
-
-    def suite_config(self) -> SuiteConfig:
-        return self._suite
 
     def model_config(self) -> ModelConfig:
         return self._model
-
-    def schedule(self) -> LambdaSchedule:
-        return self._schedule
 
     def expansion_config(self) -> ExpansionConfig:
         return self._expansion
@@ -208,12 +180,30 @@ class ProtocolConfig:
 
 
 def _build(cls, section: str, values: dict):
-    """``cls(**values)``, with an unknown key reported as a ConfigError
-    naming the section and the key."""
+    """``cls(**values)``, with an unknown key or a value of the wrong type
+    reported as a ConfigError naming the section and the key."""
     unknown = set(values) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    _check_types(cls, section, values)
     return cls(**values)
+
+
+# the values each field annotation admits (annotations are strings here)
+_TYPES = {
+    "int": (int,), "float": (int, float), "str": (str,), "dict": (dict,),
+    "int | None": (int, type(None)),
+}
+
+
+def _check_types(cls, section: str, values: dict) -> None:
+    """ConfigError naming the first field of ``cls`` whose value in
+    ``values`` does not have the field's type; a bool is no number."""
+    for f in fields(cls):
+        if f.name in values:
+            value = values[f.name]
+            if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
+                raise ConfigError(f"{section} {f.name} must be {f.type}, got {value!r}")
 
 
 def load_config(path) -> ProtocolConfig:

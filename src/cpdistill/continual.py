@@ -10,11 +10,14 @@ Strategies
     expert_only  expansion + masks without replay
     independent  a fresh student per stage (plasticity reference; BWT n/a)
 
-Within a stage the phase schedule is epoch-gated: phase 1 is epoch 1
-(gate + new experts + task encoder train, old experts frozen), phase 2 is
-every later epoch (gate frozen, all experts train). The backbone is frozen
-permanently after stage 1. The contrastive objective runs jointly with
-distillation during stage 1 and during epoch 1 of later stages.
+The expand-and-mask strategies (``ours``, ``expert_only``) gate a later
+stage's training by epoch: phase 1 is epoch 1 (gate + new experts + task
+encoder train, old experts frozen), phase 2 is every later epoch (gate
+frozen, all experts train), and the backbone stays frozen after stage 1.
+Every other strategy trains every group at every stage. The contrastive
+objective runs jointly with distillation during stage 1 and during epoch 1
+of later stages. The load-balancing term is weighted by `aux_lambda` of the
+run's cumulative optimizer step.
 
 Run directory (``out_dir``)
     config.json             the protocol config
@@ -83,6 +86,7 @@ from .model import (
 )
 from .optim import AdamW, ParamGroup
 from .replay import ReplayBuffer, SelectionAudit, select_replay, update_buffer
+from .replay import read_audits, write_audits
 from .seeds import EVAL as _EVAL, int_seed as _int_seed  # noqa: F401 (perfbench/desk_success.py)
 from .taskctx import ContextProvider, ContrastiveBatch, infonce_loss, traj_stats
 from .taskctx import load_contexts, write_contexts
@@ -101,6 +105,7 @@ from .tensor import Tensor
 __all__ = [
     "StageConfig",
     "EWCState",
+    "aux_lambda",
     "DistillDataset",
     "distill_loss",
     "estimate_fisher",
@@ -111,8 +116,6 @@ __all__ = [
     "run_protocol",
     "open_stage",
     "completed_stages",
-    "write_audits",
-    "read_audits",
 ]
 
 
@@ -192,6 +195,12 @@ class DistillDataset:
 
 # ---------------------------------------------------------------------------
 # loss surfaces
+
+
+def aux_lambda(step: int) -> float:
+    """The load-balancing weight at cumulative optimizer step ``step``:
+    0.01, falling by 5e-5 a step to a floor of 1e-4."""
+    return max(1e-4, 0.01 - step * 5e-5)
 
 
 def distill_loss(
@@ -317,12 +326,8 @@ class ProtocolRunner:
         self.seed = seed
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.traits = STRATEGY_TRAITS[config.strategy]
-        self.suite = config.suite_config()
         self.model_cfg = config.model_config()
-        self.stream = make_task_stream(
-            self.suite, config.n_stages, config.tasks_per_stage, seed
-        )
-        self.schedule = config.schedule()
+        self.stream = make_task_stream(config.n_stages, config.tasks_per_stage, seed)
         self.matrix = MetricsMatrix()
         self.audits: list[SelectionAudit] = []
         self.buffer = ReplayBuffer(budget_fraction=config.budget_fraction)
@@ -477,7 +482,7 @@ class ProtocolRunner:
                 fisher = estimate_fisher(
                     self.model,
                     self._fisher_batches(dataset, k),
-                    lam=self.schedule.value(self.global_step),
+                    lam=aux_lambda(self.global_step),
                 )
             self._carry(fisher)
 
@@ -534,7 +539,7 @@ class ProtocolRunner:
 
     def _train_step(self, batch, ctx, infonce_on, nce_stats, nce_labels, rng) -> None:
         self.optimizer.zero_grad()
-        lam = self.schedule.value(self.global_step)
+        lam = aux_lambda(self.global_step)
         contexts = ctx[batch.task_idx]
         loss, actions = distill_loss(
             self.model, batch.windows, contexts, batch.targets, lam, with_actions=True
@@ -712,34 +717,6 @@ def completed_stages(run_dir) -> list[int]:
     whose ``stage_k/state.json``, the last file a stage writes, exists."""
     names = (p.parent.name[len("stage_"):] for p in Path(run_dir).glob("stage_*/state.json"))
     return sorted(int(n) for n in names if n.isdigit())
-
-
-def write_audits(path, audits: list[SelectionAudit]) -> None:
-    lines = ["stage\ttask_id\tstrategy\tseed\tlog_det\tchosen_ids"]
-    for a in audits:
-        lines.append(
-            f"{a.stage}\t{a.task_id}\t{a.strategy}\t{a.seed}\t"
-            f"{repr(float(a.log_det))}\t{';'.join(a.chosen_ids)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_audits(path) -> list[SelectionAudit]:
-    """The audits `write_audits` wrote, field for field."""
-    audits = []
-    for line in Path(path).read_text().strip().split("\n")[1:]:
-        stage, task_id, strategy, seed, log_det, chosen = line.split("\t")
-        audits.append(
-            SelectionAudit(
-                stage=int(stage),
-                task_id=task_id,
-                strategy=strategy,
-                seed=int(seed),
-                chosen_ids=chosen.split(";") if chosen else [],
-                log_det=float(log_det),
-            )
-        )
-    return audits
 
 
 def run_protocol(

@@ -5,13 +5,16 @@ consecutive slices of a fixed SLICE_LEN = 20 steps, not the window the
 student reads, so the window changes no selection. Features are centered
 and scaled to unit average norm, and the Gram matrix L = V V^T feeds the
 selector. Selection strategies: greedy MAP for a determinantal point
-process (log-det gain), farthest-first, and seeded random. A malformed pool
-raises InputError; an unsatisfiable request or a buffer over its budget
-raises ConfigError.
+process (log-det gain), farthest-first, and seeded random. Each selection
+is recorded as a `SelectionAudit`; `write_audits` and `read_audits` keep a
+run's audits in a stage's ``audits.tsv``. A malformed pool raises
+InputError; an unsatisfiable request or a buffer over its budget raises
+ConfigError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +24,8 @@ from .errors import ConfigError, InputError
 __all__ = [
     "ReplayBuffer",
     "SelectionAudit",
+    "write_audits",
+    "read_audits",
     "featurize",
     "preprocess_features",
     "build_kernel",
@@ -176,6 +181,36 @@ class SelectionAudit:
     seed: int
     chosen_ids: list[str]
     log_det: float
+
+
+def write_audits(path, audits: list[SelectionAudit]) -> None:
+    """One tab-separated row per audit, under a header; the chosen ids are
+    joined by ``;`` and the log-det keeps every bit."""
+    lines = ["stage\ttask_id\tstrategy\tseed\tlog_det\tchosen_ids"]
+    for a in audits:
+        lines.append(
+            f"{a.stage}\t{a.task_id}\t{a.strategy}\t{a.seed}\t"
+            f"{repr(float(a.log_det))}\t{';'.join(a.chosen_ids)}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_audits(path) -> list[SelectionAudit]:
+    """The audits `write_audits` wrote, field for field."""
+    audits = []
+    for line in Path(path).read_text().strip().split("\n")[1:]:
+        stage, task_id, strategy, seed, log_det, chosen = line.split("\t")
+        audits.append(
+            SelectionAudit(
+                stage=int(stage),
+                task_id=task_id,
+                strategy=strategy,
+                seed=int(seed),
+                chosen_ids=chosen.split(";") if chosen else [],
+                log_det=float(log_det),
+            )
+        )
+    return audits
 
 
 def update_buffer(buffer: ReplayBuffer, n_new_distill: int, task_id: str, selected: list) -> ReplayBuffer:

@@ -8,6 +8,12 @@ move under rotated/slow dynamics — is family-specific and never visible in
 the observation. That forces the student to infer the task from context,
 while all families share the same move-toward-a-point primitive.
 
+The suite's geometry is fixed, not configured: every episode runs
+HORIZON = 40 steps, each task's goal center lies at a radius drawn from
+GOAL_RING = (0.30, 0.55), and the `TaskSpec` defaults hold the rest (start
+positions uniform in [-0.35, 0.35]^2, goal jitter within 0.12 of the
+center, success within 0.05 of the target).
+
 Teachers are deterministic proportional controllers toward the current
 waypoint; an optional Gaussian action-noise knob models imperfect teachers.
 
@@ -32,7 +38,8 @@ from .errors import ConfigError
 __all__ = [
     "OBS_DIM",
     "ACTION_DIM",
-    "SuiteConfig",
+    "HORIZON",
+    "GOAL_RING",
     "TaskSpec",
     "Trajectory",
     "TeacherPolicy",
@@ -73,20 +80,9 @@ FAMILIES: dict[str, dict] = {
 OBS_DIM, ACTION_DIM = 4, 2
 
 
-@dataclass
-class SuiteConfig:
-    horizon: int = 40
-    success_threshold: float = 0.05
-    start_range: float = 0.35       # start positions uniform in [-r, r]^2
-    goal_ring: tuple[float, float] = (0.30, 0.55)
-    goal_radius: float = 0.12       # per-episode jitter around the task center
-    max_tasks: int = 50
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.success_threshold <= 0:
-            raise ConfigError("success threshold must be positive")
+# episode length, and the radii between which task goal centers lie
+HORIZON = 40
+GOAL_RING = (0.30, 0.55)
 
 
 @dataclass
@@ -94,15 +90,15 @@ class TaskSpec:
     task_id: str
     family: str
     goal_center: np.ndarray
-    goal_radius: float
     gain: np.ndarray
     offset: np.ndarray
     detour: np.ndarray
     target_mode: str
     kappa: float
-    horizon: int = 40
+    horizon: int = HORIZON
     success_threshold: float = 0.05
-    start_range: float = 0.35
+    start_range: float = 0.35       # start positions uniform in [-r, r]^2
+    goal_radius: float = 0.12       # per-episode jitter around the task center
 
 
 @dataclass
@@ -126,40 +122,29 @@ class TeacherPolicy:
         return expert_action(self.spec, states)
 
 
-def make_task_stream(
-    suite: SuiteConfig, n_stages: int, tasks_per_stage: int, seed: int
-) -> list[list[TaskSpec]]:
-    """Deterministic stream of task specs grouped into stages."""
-    total = n_stages * tasks_per_stage
-    if total > suite.max_tasks:
-        raise ConfigError(
-            f"{n_stages} stages x {tasks_per_stage} tasks oversubscribes the "
-            f"suite ({suite.max_tasks} tasks max)"
-        )
+def make_task_stream(n_stages: int, tasks_per_stage: int, seed: int) -> list[list[TaskSpec]]:
+    """Deterministic stream of task specs grouped into stages; the families
+    come in a seeded order and repeat, each with its own goal center."""
     rng = seeding.rng(seed, seeding.STREAM)
     names = list(FAMILIES)
     order = [names[i] for i in rng.permutation(len(names))]
     specs = []
-    for i in range(total):
+    for i in range(n_stages * tasks_per_stage):
         family = order[i % len(order)]
         fam = FAMILIES[family]
         angle = rng.uniform(0.0, 2 * np.pi)
-        radius = rng.uniform(*suite.goal_ring)
+        radius = rng.uniform(*GOAL_RING)
         center = radius * np.array([np.cos(angle), np.sin(angle)])
         specs.append(
             TaskSpec(
                 task_id=f"{family}-{i:02d}",
                 family=family,
                 goal_center=center,
-                goal_radius=suite.goal_radius,
                 gain=np.array(fam["gain"], dtype=np.float64),
                 offset=np.asarray(fam["offset"], dtype=np.float64),
                 detour=np.asarray(fam["detour"], dtype=np.float64),
                 target_mode=fam["target_mode"],
                 kappa=float(fam["kappa"]),
-                horizon=suite.horizon,
-                success_threshold=suite.success_threshold,
-                start_range=suite.start_range,
             )
         )
     return [specs[k * tasks_per_stage : (k + 1) * tasks_per_stage] for k in range(n_stages)]

@@ -39,6 +39,12 @@ and so commands.txt as a whole, differ by design. Before ``eval`` lost its
 copies were continued with ``distill --resume``, and neither the second
 ``distill`` nor the refused one was run.
 
+Across the change that made the point-mass suite and the aux-loss weight
+constants, each run directory's ``config.json`` and ``report/config.json``
+differ by design: the parent's hold the two lines ``"lambda_schedule": {},``
+and ``"suite": {},``, which the change no longer writes. Every other file,
+``commands.txt`` included, is compared as usual.
+
 One matrix took 90 s on an idle 2-core machine with one BLAS thread.
 pytest does not collect this file.
 """

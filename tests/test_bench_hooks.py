@@ -106,7 +106,7 @@ def test_train_step_calls_the_loss_hooks_through_module_globals(monkeypatch):
     ctx = np.ones((1, runner.model_cfg.task_embed_dim)) / 4.0
     runner._train_step(batch, ctx, False, None, None, rng)
     assert calls == ["distill_loss", "kl_penalty"]
-    spec = make_task_stream(runner.suite, 1, 1, seed=0)[0][0]
+    spec = make_task_stream(1, 1, seed=0)[0][0]
     rate = continual.rollout_success_batch(runner.model, spec, ctx[0], 2, 5)
     assert 0.0 <= rate <= 1.0
 
@@ -136,7 +136,7 @@ def test_inference_reaches_predict_batch_through_the_class(monkeypatch):
     assert args[0] is snapshot and args[1] is windows and args[2] is contexts
 
     calls.clear()
-    spec = make_task_stream(runner.suite, 1, 1, seed=0)[0][0]
+    spec = make_task_stream(1, 1, seed=0)[0][0]
     continual.rollout_success_batch(student, spec, contexts[0], 2, 5)
     assert len(calls) == spec.horizon
     for args, kwargs in calls:
@@ -145,7 +145,7 @@ def test_inference_reaches_predict_batch_through_the_class(monkeypatch):
 
 
 def test_teacher_calls_made_by_the_checks():
-    spec = make_task_stream(teachers.SuiteConfig(), 1, 1, seed=0)[0][0]
+    spec = make_task_stream(1, 1, seed=0)[0][0]
     trajs = teachers.collect(spec, teachers.TeacherPolicy(spec), 3, base_seed=2**32 + 5)
     assert len(trajs) == 3 and all(isinstance(t, Trajectory) for t in trajs)
     for traj in trajs:
@@ -155,7 +155,8 @@ def test_teacher_calls_made_by_the_checks():
 
 
 def test_teacher_data_reaches_collect_through_module_globals(monkeypatch):
-    cfg = ProtocolConfig(n_stages=1, tasks_per_stage=1, episodes_per_task=3, replay_m=0)
+    cfg = ProtocolConfig(n_stages=1, tasks_per_stage=1, episodes_per_task=3, support_episodes=3,
+                         replay_m=0)
     runner = continual.ProtocolRunner(cfg, seed=1)
     calls = []
     real = continual.collect

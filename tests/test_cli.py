@@ -280,3 +280,23 @@ def test_distill_refuses_another_runs_directory(config_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "StateError" in captured.err and "seed" in captured.err
     assert tree_bytes(bare) == before
+
+
+def test_distill_refuses_a_run_with_suite_or_lambda_schedule_keys(config_path, tmp_path, capsys):
+    # a run directory whose config.json still holds the sections that became
+    # constants was written under another config format
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(config_path), "--seed", "3",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    saved = json.loads((run_dir / "config.json").read_text())
+    (run_dir / "config.json").write_text(
+        json.dumps({**saved, "lambda_schedule": {}, "suite": {}}, indent=1, sort_keys=True))
+    (run_dir / "stage_2" / "state.json").unlink()
+    before = tree_bytes(run_dir)
+    assert main(["distill", "--config", str(config_path), "--seed", "3",
+                 "--out", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "StateError" in captured.err and "config.json" in captured.err
+    assert tree_bytes(run_dir) == before

@@ -3,13 +3,15 @@ import shutil
 import numpy as np
 import pytest
 
+from cpdistill import replay, teachers
 from cpdistill import tensor as T
-from cpdistill.config import STRATEGIES, LambdaSchedule, ProtocolConfig
+from cpdistill.config import STRATEGIES, ProtocolConfig
 from cpdistill.continual import (
     DistillDataset,
     EWCState,
     ProtocolRunner,
     StageConfig,
+    aux_lambda,
     distill_loss,
     estimate_fisher,
     ewc_penalty,
@@ -60,15 +62,12 @@ def batch_for(model, n=6, seed=0):
     return windows, ctx, targets
 
 
-def test_lambda_schedule_values():
-    sched = LambdaSchedule()
-    assert sched.value(0) == 0.01
-    assert sched.value(100) == pytest.approx(0.005)
-    assert sched.value(10**6) == 0.0001
-    grid = [sched.value(t) for t in range(0, 5000, 37)]
+def test_aux_lambda_values():
+    assert aux_lambda(0) == 0.01
+    assert aux_lambda(100) == pytest.approx(0.005)
+    assert aux_lambda(10**6) == 0.0001
+    grid = [aux_lambda(t) for t in range(0, 5000, 37)]
     assert all(b <= a for a, b in zip(grid, grid[1:]))
-    with pytest.raises(ValueError):
-        sched.value(-1)
 
 
 def test_distill_loss_values():
@@ -184,17 +183,15 @@ def test_kl_penalty_values():
 
 
 def test_dataset_buckets_and_full_pass():
-    from cpdistill.teachers import SuiteConfig
-
-    suite = SuiteConfig()
-    task = make_task_stream(suite, 1, 1, seed=2)[0][0]
+    horizon = teachers.HORIZON
+    task = make_task_stream(1, 1, seed=2)[0][0]
     trajs = collect(task, TeacherPolicy(task), 4, base_seed=0)
     ds = DistillDataset(trajs, seq_len=20, task_ids=[task.task_id])
     n_samples = sum(b.windows.shape[0] for b in ds.buckets.values())
-    assert n_samples == 4 * suite.horizon
+    assert n_samples == 4 * horizon
     # lengths 1..19 once per trajectory, length 20 for the rest
     assert sorted(ds.buckets) == list(range(1, 21))
-    assert ds.buckets[20].windows.shape[0] == 4 * (suite.horizon - 19)
+    assert ds.buckets[20].windows.shape[0] == 4 * (horizon - 19)
 
     rng = np.random.default_rng(0)
     seen = []
@@ -204,7 +201,7 @@ def test_dataset_buckets_and_full_pass():
     assert len(seen) == n_samples
     # full-pass contract: every trajectory contributes every sample
     counts = np.bincount(seen, minlength=len(trajs))
-    assert np.all(counts == suite.horizon)
+    assert np.all(counts == horizon)
 
 
 def test_stage_config_validation():
@@ -216,27 +213,26 @@ def test_stage_config_validation():
 
 
 def test_config_rejects_removed_knobs():
-    # teachers take their noise from the top-level `teacher_noise`
-    assert tiny_protocol(suite={"horizon": 40}).suite_config().horizon == 40
-    for key in ("teacher_noise", "gamma"):
+    # the point-mass suite and the aux-loss weight are constants, not sections
+    for key, value in (("suite", {}), ("lambda_schedule", {"start": 0.01}), ("workers", 4)):
         with pytest.raises(ConfigError, match=key):
-            tiny_protocol(suite={key: 0.1}).suite_config()
-    with pytest.raises(ConfigError, match="workers"):
-        ProtocolConfig.from_dict({**tiny_protocol().to_dict(), "workers": 4})
+            ProtocolConfig.from_dict({**tiny_protocol().to_dict(), key: value})
 
 
 @pytest.mark.parametrize("over,key", [
     (dict(model={"hiden_dim": 3}), "hiden_dim"),
-    (dict(suite={"seq_len": 10}), "seq_len"),
-    (dict(suite={"horizon": 30}), "horizon"),
+    (dict(model={"seq_len": 0}), "seq_len"),
+    (dict(n_stages="3"), "n_stages"),
     (dict(batch_size=0), "batch_size"),
     (dict(eval_episodes=0), "eval_episodes"),
     (dict(epochs_stage1=-1), "epochs_stage1"),
     (dict(replay_strategy="dpp_exact"), "replay_strategy"),
-    (dict(suite={"obs_dim": 6}), "obs_dim"),
-    (dict(suite={"action_dim": 3}), "action_dim"),
-    (dict(suite={"horizon": 0}), "horizon"),
-    (dict(suite={"horizon": -20}), "horizon"),
+    # the dims are fixed by the point-mass suite, so even their own values
+    # are refused
+    (dict(model={"obs_dim": teachers.OBS_DIM}), "obs_dim"),
+    (dict(model={"action_dim": teachers.ACTION_DIM}), "action_dim"),
+    (dict(lr="0.1"), "lr"),
+    (dict(max_steps="5"), "max_steps"),
     (dict(model={"obs_dim": 5}), "obs_dim"),
     (dict(model={"action_dim": 3}), "action_dim"),
     (dict(infonce_trajs=1), "infonce_trajs"),
@@ -254,9 +250,17 @@ def test_config_rejects_removed_knobs():
     (dict(weight_decay=-1.0), "weight_decay"),
     (dict(infonce_weight=-1.0), "infonce_weight"),
     (dict(ewc_lambda=-1.0), "ewc_lambda"),
-    (dict(lambda_schedule={"start": -1.0}), "lambda_schedule start"),
-    (dict(lambda_schedule={"step_decrement": -1e-5}), "lambda_schedule step_decrement"),
-    (dict(lambda_schedule={"floor": -1.0}), "lambda_schedule floor"),
+    (dict(model=5), "model"),
+    (dict(model=None), "model"),
+    (dict(n_stages=2.5), "n_stages"),
+    (dict(eval_episodes=3.0), "eval_episodes"),
+    (dict(episodes_per_task=10.0), "episodes_per_task"),
+    (dict(batch_size=True), "batch_size"),
+    (dict(model={"hidden_dim": "16"}), "hidden_dim"),
+    (dict(model={"dtype": 64}), "dtype"),
+    (dict(expansion={"experts_added": 1.5}), "experts_added"),
+    (dict(expansion={"cold_start_bias": "-5"}), "cold_start_bias"),
+    (dict(support_episodes=11), "support_episodes"),
 ])
 def test_config_rejects_bad_values_at_construction(over, key):
     with pytest.raises(ConfigError, match=key):
@@ -264,15 +268,22 @@ def test_config_rejects_bad_values_at_construction(over, key):
 
 
 def test_config_accepts_zero_weights():
-    cfg = tiny_protocol(weight_decay=0.0, infonce_weight=0.0, ewc_lambda=0.0,
-                        lambda_schedule={"start": 0.0, "step_decrement": 0.0, "floor": 0.0})
-    assert cfg.infonce_weight == 0.0 and cfg.schedule().value(7) == 0.0
+    cfg = tiny_protocol(weight_decay=0.0, infonce_weight=0.0, ewc_lambda=0.0)
+    assert cfg.infonce_weight == 0.0 and cfg.ewc_lambda == 0.0
+
+
+def test_config_accepts_ints_for_rates_and_equal_support():
+    cfg = tiny_protocol(lr=1, teacher_noise=0, support_episodes=10, max_steps=None,
+                        expansion={"cold_start_bias": -5})
+    assert cfg.lr == 1 and cfg.support_episodes == cfg.episodes_per_task
+    assert ProtocolConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_horizon_follows_the_replay_slice_not_the_window():
+    # the fixed horizon is a whole number of replay slices, whatever window
+    # the student reads
+    assert teachers.HORIZON % replay.SLICE_LEN == 0
     assert tiny_protocol(model={**tiny_protocol().model, "seq_len": 3}).model_config().seq_len == 3
-    with pytest.raises(ConfigError, match="horizon 30 must be a multiple of the 20-step replay slice"):
-        tiny_protocol(suite={"horizon": 30})
 
 
 def test_replay_selection_reads_no_window(tmp_path):
@@ -435,7 +446,7 @@ def test_stage_1_training_reads_no_strategy_trait():
 @pytest.mark.parametrize("over", [
     dict(infonce_trajs=4),  # stage 2 pools 4 tasks: 2 new, 2 from replay
     dict(n_stages=1, tasks_per_stage=3, infonce_trajs=3),
-    dict(n_stages=1, episodes_per_task=1, replay_m=0),  # no task has two
+    dict(n_stages=1, episodes_per_task=1, support_episodes=1, replay_m=0),  # no task has two
 ])
 def test_contrastive_batches_without_a_positive_pair_do_not_stop_the_run(over):
     cfg = tiny_protocol(**over)
@@ -457,17 +468,23 @@ def test_nce_sample_holds_a_positive_pair(labels, tasks):
     assert runner._nce_sample(np.random.default_rng(0), np.array([0, 1, 2])) is None
 
 
-def test_lambda_uses_cumulative_step():
-    cfg = tiny_protocol(
-        n_stages=2, episodes_per_task=10, epochs_stage1=1, epochs_later=1,
-        lambda_schedule=dict(start=0.01, step_decrement=0.00005, floor=0.0001),
-    )
+def test_lambda_uses_cumulative_step(monkeypatch):
+    import cpdistill.continual as continual
+
+    cfg = tiny_protocol(n_stages=2, episodes_per_task=10, epochs_stage1=1, epochs_later=1)
     runner = ProtocolRunner(cfg, seed=8)
     runner.run_stage(runner.stage_config(1), runner.stream[0])
     steps_after_1 = runner.global_step
     assert steps_after_1 > 0
-    lam_next = runner.schedule.value(runner.global_step)
-    assert lam_next == pytest.approx(0.01 - steps_after_1 * 0.00005)
+    # stage 2 weighs its aux loss from the step count stage 1 reached
+    lams = []
+    real = continual.distill_loss
+    monkeypatch.setattr(continual, "distill_loss",
+                        lambda *a, **kw: lams.append(a[4]) or real(*a, **kw))
+    runner.run_stage(runner.stage_config(2), runner.stream[1])
+    assert lams[0] == aux_lambda(steps_after_1)
+    assert lams == [aux_lambda(steps_after_1 + i) for i in range(len(lams))]
+    assert lams[0] == pytest.approx(0.01 - steps_after_1 * 0.00005)
 
 
 def test_determinism_two_identical_runs(tmp_path):
@@ -518,7 +535,7 @@ def test_kl_step_runs_the_student_once(monkeypatch):
     windows, ctx, targets = batch_for(model, n=8, seed=4)
     batch = SimpleNamespace(length=5, windows=windows, targets=targets,
                             task_idx=np.arange(8), uid=np.zeros(8, dtype=np.intp))
-    lam = runner.schedule.value(runner.global_step)
+    lam = aux_lambda(runner.global_step)
 
     student_passes = []
     forward = StudentModel.forward

@@ -12,7 +12,7 @@ from cpdistill import errors
 from cpdistill.continual import DistillDataset
 from cpdistill.metrics import MetricsMatrix
 from cpdistill.taskctx import ContextProvider, TaskEncoder
-from cpdistill.teachers import SuiteConfig, TeacherPolicy, collect, make_task_stream
+from cpdistill.teachers import TeacherPolicy, collect, make_task_stream
 
 SRC = Path(cpdistill.__file__).resolve().parent
 ERRORS = set(errors.__all__)
@@ -66,7 +66,7 @@ def test_every_raise_names_an_errors_class():
             f"{module}:{node.lineno} raises {name}")
 
 
-TASK = make_task_stream(SuiteConfig(), 1, 1, seed=2)[0][0]
+TASK = make_task_stream(1, 1, seed=2)[0][0]
 
 
 @pytest.mark.parametrize("call,name", [

@@ -9,8 +9,8 @@ from cpdistill.errors import ConfigError
 from cpdistill.teachers import (
     ACTION_DIM,
     FAMILIES,
+    HORIZON,
     OBS_DIM,
-    SuiteConfig,
     TeacherPolicy,
     collect,
     expert_action,
@@ -24,12 +24,8 @@ from cpdistill.teachers import (
 )
 
 
-def suite():
-    return SuiteConfig()
-
-
 def stream_tasks(n_stages=5, per_stage=2, seed=0):
-    return make_task_stream(suite(), n_stages, per_stage, seed)
+    return make_task_stream(n_stages, per_stage, seed)
 
 
 def flat(stages):
@@ -37,7 +33,7 @@ def flat(stages):
 
 
 def all_families(seed=11):
-    tasks = flat(make_task_stream(suite(), 5, 2, seed=seed))
+    tasks = flat(make_task_stream(5, 2, seed=seed))
     assert {t.family for t in tasks} == set(FAMILIES)
     return tasks
 
@@ -116,11 +112,22 @@ def test_stream_shape_and_determinism():
         assert a.task_id == b.task_id
         assert np.array_equal(a.goal_center, b.goal_center)
 
-    big = make_task_stream(suite(), 5, 5, seed=3)
+    big = make_task_stream(5, 5, seed=3)
     assert len(flat(big)) == 25 and all(len(s) == 5 for s in big)
 
-    with pytest.raises(ConfigError):
-        make_task_stream(suite(), 26, 2, seed=0)
+
+def test_a_long_stream_cycles_the_families():
+    # no cap on the stream: past ten tasks the families repeat, each repeat
+    # with its own goal center
+    stages = stream_tasks(26, 2)
+    tasks = flat(stages)
+    assert len(stages) == 26 and all(len(s) == 2 for s in stages)
+    assert len({t.task_id for t in tasks}) == 52
+    assert [t.family for t in tasks[10:]] == [t.family for t in tasks[:42]]
+    assert len({t.goal_center.tobytes() for t in tasks}) == 52
+    for a, b in zip(tasks, flat(stream_tasks(26, 2))):
+        assert a.task_id == b.task_id
+        assert a.goal_center.tobytes() == b.goal_center.tobytes()
 
 
 def test_step_contract():
@@ -224,12 +231,11 @@ def test_collect_matches_per_episode_reference(noise_std):
 
 
 def test_trajectory_invariants():
-    cfg = suite()
     for task in flat(stream_tasks())[:4]:
         for traj in collect(task, TeacherPolicy(task), 3, base_seed=7, noise_std=0.5):
-            assert traj.states.shape == (cfg.horizon + 1, OBS_DIM)
-            assert traj.actions.shape == (cfg.horizon, ACTION_DIM)
-            assert traj.rewards.shape == (cfg.horizon,)
+            assert traj.states.shape == (HORIZON + 1, OBS_DIM)
+            assert traj.actions.shape == (HORIZON, ACTION_DIM)
+            assert traj.rewards.shape == (HORIZON,)
             assert np.all(np.abs(traj.actions) <= 1.0)
             assert np.isfinite(traj.states).all()
             assert np.all(traj.states[:, 2:4] == traj.states[0, 2:4])
