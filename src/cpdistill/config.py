@@ -43,16 +43,20 @@ int or a float for a rate, a str, a dict for a section, and an int or None
 for max_steps. Counts must be positive (replay_m and the epoch counts may be
 0, max_steps may be None, and infonce_trajs must be at least 2), and so must
 model stats_chunks and encoder_hidden. support_episodes may not exceed
-episodes_per_task. lr, infonce_tau and kl_sigma0 must be > 0. The weights
-and noise stds must be >= 0, since a negative one flips the sign of its
-term: weight_decay, teacher_noise, infonce_weight, ewc_lambda, and the
+episodes_per_task. Every top-level rate and both expansion noise stds must
+be finite (cold_start_bias may be -inf). lr, infonce_tau and kl_sigma0 must
+be > 0, and 2 * kl_sigma0**2, the KL divisor, a positive finite float. The
+weights and noise stds must be >= 0, since a negative one flips the sign of
+its term: weight_decay, teacher_noise, infonce_weight, ewc_lambda, and the
 expansion's init_noise_std and gate_col_noise_std. budget_fraction must lie
 in (0, 1]. A bad value or an unknown key, at the top level or in a section,
-raises ConfigError naming it when the config is built.
+raises ConfigError naming it when the config is built; a config file that
+is not a JSON object raises one naming the file.
 """
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -123,6 +127,10 @@ class ProtocolConfig:
 
     def __post_init__(self):
         _check_types(ProtocolConfig, "config", vars(self))
+        for f in fields(self):
+            # nan, inf and an int past the float range all fail
+            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
         if self.replay_strategy not in REPLAY_STRATEGIES:
@@ -147,6 +155,8 @@ class ProtocolConfig:
         for key in ("lr", "infonce_tau", "kl_sigma0"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not 0 < 2.0 * self.kl_sigma0 * self.kl_sigma0 <= sys.float_info.max:  # KL divisor
+            raise ConfigError(f"2 * kl_sigma0**2 must be finite and > 0, got {self.kl_sigma0}")
         for key in ("weight_decay", "teacher_noise", "infonce_weight", "ewc_lambda"):
             if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
@@ -207,7 +217,13 @@ def _check_types(cls, section: str, values: dict) -> None:
 
 
 def load_config(path) -> ProtocolConfig:
-    return ProtocolConfig.from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as err:  # malformed JSON or text
+        raise ConfigError(f"config file {path} is not JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(data).__name__}")
+    return ProtocolConfig.from_dict(data)
 
 
 def save_config(path, config: ProtocolConfig) -> None:

@@ -414,7 +414,7 @@ class ProtocolRunner:
             seed = seeds.int_seed(self.seed, k, seeds.EXPAND)
             expand_experts(self.model, self.config.expansion_config(), seed=seed)
             self.optimizer.groups = self.model.groups()
-            apply_mask_schedule(self.model, k, 1)
+            apply_mask_schedule(self.model, 1)
 
         # 3. training pool: current distill data plus the whole replay buffer,
         # which only replay strategies fill
@@ -437,7 +437,7 @@ class ProtocolRunner:
         capped = False
         for epoch in range(1, stage.epochs + 1):
             if masked and epoch == 2:
-                apply_mask_schedule(self.model, k, 2)
+                apply_mask_schedule(self.model, 2)
             self.provider.refresh(current_ids)
             ctx = self.provider.context_matrix(data_task_ids)
             infonce_on = (k == 1 or epoch == 1) and self.config.infonce_weight > 0
@@ -642,8 +642,6 @@ class ProtocolRunner:
             for traj in trajs[:16]:
                 windows.append(traj.states[: self.model_cfg.seq_len])
                 zs.append(z)
-        if not windows:
-            return
         loads = self.model.routing_loads(np.stack(windows), np.stack(zs))
         for l, layer_loads in enumerate(loads):
             total = layer_loads.sum()

@@ -9,12 +9,16 @@ and every layer's gating statistics over every token, for the losses and
 the routing dump; `predict_batch`, for inference, runs the final block from
 the last position only.
 Experts can be added at stage boundaries with noisy-copy weights and a
-strongly negative gate bias so routing is initially undisturbed, and a
-two-phase trainability schedule controls which parameter groups move during
-each continual-learning stage.
+strongly negative gate bias so routing is initially undisturbed. Stage 1
+trains a fresh student whole; from stage 2 on, a two-phase schedule decides
+each group's trainability from its name. The layout is recorded once: the
+groups by name in `params` (the MoE layers hold the same objects), the
+expert counts read from `layers`, and each layer's first new expert in
+`new_expert_start`.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -94,8 +98,10 @@ class ExpansionConfig:
         if not self.cold_start_bias < 0:
             raise ConfigError("cold_start_bias must be negative")
         for key in ("init_noise_std", "gate_col_noise_std"):
-            if not getattr(self, key) >= 0:
-                raise ConfigError(f"expansion {key} must be >= 0, got {getattr(self, key)}")
+            if not 0 <= getattr(self, key) <= sys.float_info.max:
+                raise ConfigError(
+                    f"expansion {key} must be finite and >= 0, got {getattr(self, key)}"
+                )
 
 
 @dataclass
@@ -117,10 +123,6 @@ class Expert:
     def __call__(self, x: Tensor) -> Tensor:
         h = T.gelu(x @ self.w1.tensor + self.b1.tensor)
         return h @ self.w2.tensor + self.b2.tensor
-
-    @property
-    def groups(self) -> list[ParamGroup]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 @dataclass
@@ -225,13 +227,10 @@ class StudentModel:
         expert_counts: Sequence[int] | None = None,
     ):
         self.config = config
-        self.expert_counts = (
-            list(expert_counts)
-            if expert_counts is not None
-            else [config.experts_per_layer] * config.depth
-        )
+        if expert_counts is None:
+            expert_counts = [config.experts_per_layer] * config.depth
         # first expert index considered "new" in the current stage, per layer
-        self.new_expert_start = list(self.expert_counts)
+        self.new_expert_start = list(expert_counts)
         self.params: dict[str, ParamGroup] = {}
         rng = seeds.rng(seed, seeds.MODEL)
         d = config.hidden_dim
@@ -239,20 +238,17 @@ class StudentModel:
         self._add("embed.b", np.zeros(d))
         self._add("pos", rng.normal(0.0, 0.02, (config.seq_len, d)))
         self.layers: list[MoELayer] = []
-        self._attn: list[dict[str, ParamGroup]] = []
         for l in range(config.depth):
             pre = f"blocks.{l}"
             self._add(f"{pre}.ln1.g", np.ones(d))
             self._add(f"{pre}.ln1.b", np.zeros(d))
-            attn = {}
             for nm in ("wq", "wk", "wv", "wo"):
-                attn[nm] = self._add(f"{pre}.attn.{nm}", rng.normal(0.0, 0.02, (d, d)))
+                self._add(f"{pre}.attn.{nm}", rng.normal(0.0, 0.02, (d, d)))
             for nm in ("bq", "bk", "bv", "bo"):
-                attn[nm] = self._add(f"{pre}.attn.{nm}", np.zeros(d))
-            self._attn.append(attn)
+                self._add(f"{pre}.attn.{nm}", np.zeros(d))
             self._add(f"{pre}.ln2.g", np.ones(d))
             self._add(f"{pre}.ln2.b", np.zeros(d))
-            n_exp = self.expert_counts[l]
+            n_exp = expert_counts[l]
             gate_w = self._add(f"{pre}.gate.w", rng.normal(0.0, 0.02, (d, n_exp)))
             gate_b = self._add(f"{pre}.gate.b", np.zeros(n_exp))
             width = d * config.mlp_multiplier
@@ -274,6 +270,10 @@ class StudentModel:
         )
         for g in self.encoder.groups:
             self.params[g.name] = g
+
+    @property
+    def expert_counts(self) -> list[int]:
+        return [layer.n_experts for layer in self.layers]
 
     def _add(self, name: str, data: np.ndarray) -> ParamGroup:
         group = ParamGroup(name, Tensor(np.asarray(data, dtype=self.config.np_dtype)))
@@ -335,16 +335,19 @@ class StudentModel:
         cfg = self.config
         b, t, d = x.shape
         h, dh = cfg.n_heads, d // cfg.n_heads
-        p = self._attn[l]
+        pre = f"blocks.{l}.attn"
         tq = min(t, 2) if last else t
+
+        def proj(v: Tensor, name: str) -> Tensor:
+            return v @ self.params[f"{pre}.w{name}"].tensor + self.params[f"{pre}.b{name}"].tensor
 
         def heads(v: Tensor, n: int) -> Tensor:
             return T.transpose(T.reshape(v, (b, n, h, dh)), (0, 2, 1, 3))
 
         xq = x[:, t - tq:, :] if last else x
-        q = heads(xq @ p["wq"].tensor + p["bq"].tensor, tq)
-        k = heads(x @ p["wk"].tensor + p["bk"].tensor, t)
-        v = heads(x @ p["wv"].tensor + p["bv"].tensor, t)
+        q = heads(proj(xq, "q"), tq)
+        k = heads(proj(x, "k"), t)
+        v = heads(proj(x, "v"), t)
         scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
         if t > 1 and not last:
             if t not in self._masks:
@@ -357,7 +360,7 @@ class StudentModel:
             merged = T.reshape(out[:, :, -1, :], (b, d))
         else:
             merged = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
-        return merged @ p["wo"].tensor + p["bo"].tensor
+        return proj(merged, "o")
 
     def block_forward(
         self, h: Tensor, l: int, last_only: bool = False
@@ -438,61 +441,57 @@ class StudentModel:
     # ------------------------------------------------------------------
     # persistence
 
-    def save(self, path, stage: int = 0) -> None:
-        header = {
+    def _layout(self) -> dict:
+        """The checkpoint header's record of the layout; `_restore` reads it."""
+        return {
             "config": asdict(self.config),
-            "expert_counts": list(self.expert_counts),
+            "expert_counts": self.expert_counts,
             "new_expert_start": list(self.new_expert_start),
-            "stage": stage,
         }
-        save_groups(path, self.groups(), extra=header)
+
+    def save(self, path, stage: int = 0) -> None:
+        save_groups(path, self.groups(), extra={**self._layout(), "stage": stage})
 
     @classmethod
     def load(cls, path) -> tuple["StudentModel", dict]:
         groups, header = load_groups(path)
-        unknown = set(header["config"]) - {f.name for f in fields(ModelConfig)}
-        if unknown:
-            raise StateError(
-                f"checkpoint {path} has unknown model config keys: {sorted(unknown)}"
-            )
-        config = ModelConfig(**header["config"])
-        model = cls(config, seed=0, expert_counts=header["expert_counts"])
-        model.new_expert_start = list(header["new_expert_start"])
-        by_name = {g.name: g for g in groups}
-        if set(by_name) != set(model.params):
-            raise StateError("checkpoint group names do not match the model layout")
-        for name, group in model.params.items():
-            group.tensor.data = by_name[name].tensor.data
-            group.set_trainable(by_name[name].trainable)
-        return model, header
+        return cls._restore(header, {g.name: g for g in groups}, f"checkpoint {path}"), header
 
     def clone(self) -> "StudentModel":
-        twin = StudentModel(self.config, seed=0, expert_counts=self.expert_counts)
-        twin.new_expert_start = list(self.new_expert_start)
-        for name, group in twin.params.items():
-            group.tensor.data = self.params[name].tensor.data.copy()
-            group.set_trainable(self.params[name].trainable)
-        return twin
+        return self._restore(self._layout(), self.params, "the model")
+
+    @classmethod
+    def _restore(cls, layout: dict, groups: dict[str, ParamGroup], source: str) -> "StudentModel":
+        """A model of ``layout`` holding copies of the values and the
+        trainability of ``groups``, which must name exactly its groups."""
+        unknown = set(layout["config"]) - {f.name for f in fields(ModelConfig)}
+        if unknown:
+            raise StateError(f"{source} has unknown model config keys: {sorted(unknown)}")
+        model = cls(ModelConfig(**layout["config"]), seed=0, expert_counts=layout["expert_counts"])
+        model.new_expert_start = list(layout["new_expert_start"])
+        if set(groups) != set(model.params):
+            raise StateError(f"{source} group names do not match the model layout")
+        for name, group in model.params.items():
+            group.tensor.data = groups[name].tensor.data.copy()
+            group.set_trainable(groups[name].trainable)
+        return model
 
 
 # ---------------------------------------------------------------------------
 # incremental expansion
 
 
-def expand_experts(
-    model: StudentModel, cfg: ExpansionConfig, seed: int = 0
-) -> list[ParamGroup]:
+def expand_experts(model: StudentModel, cfg: ExpansionConfig, seed: int = 0) -> None:
     """Add cfg.experts_added experts to every layer.
 
     New expert weights are a seeded uniformly-chosen existing expert's
     weights plus Gaussian noise; the gate gains a noise-initialized column
     per new expert and a strongly negative bias entry so routing is
-    initially undisturbed. Returns the newly created parameter groups
-    (optimizer state for them starts at zero)."""
+    initially undisturbed. The new experts become each layer's
+    `new_expert_start`; optimizer state for their groups starts at zero."""
     if cfg.experts_added == 0:
-        return []
+        return
     rng = seeds.rng(seed, seeds.EXPERTS)
-    new_groups: list[ParamGroup] = []
     for l, layer in enumerate(model.layers):
         n_old = layer.n_experts
         model.new_expert_start[l] = n_old
@@ -504,9 +503,7 @@ def expand_experts(
                 if cfg.init_noise_std > 0:
                     data = data + rng.normal(0.0, cfg.init_noise_std, data.shape)
                 pieces.append(data)
-            expert = model._make_expert(l, n_old + j, *pieces)
-            layer.experts.append(expert)
-            new_groups.extend(expert.groups)
+            layer.experts.append(model._make_expert(l, n_old + j, *pieces))
         d, dtype = model.config.hidden_dim, model.config.np_dtype
         cols = rng.normal(0.0, cfg.gate_col_noise_std, (d, cfg.experts_added))
         layer.gate_w.tensor.data = np.concatenate(
@@ -516,11 +513,9 @@ def expand_experts(
             [layer.gate_b.tensor.data,
              np.full(cfg.experts_added, cfg.cold_start_bias, dtype=dtype)]
         )
-        model.expert_counts[l] = layer.n_experts
     # the constructor's layout: a stable sort keeps each block's experts in
     # index order and everything else where the constructor put it
     model.params = dict(sorted(model.params.items(), key=lambda kv: _layout_rank(kv[0])))
-    return new_groups
 
 
 def _layout_rank(name: str) -> int:
@@ -536,40 +531,29 @@ _BACKBONE_MARKS = (".ln1.", ".ln2.", ".attn.")
 
 
 def _is_backbone(name: str) -> bool:
-    return (
-        name.startswith(("embed.", "pos", "head."))
-        or any(mark in name for mark in _BACKBONE_MARKS)
-    )
+    return name.startswith(("embed.", "pos", "head.")) or any(m in name for m in _BACKBONE_MARKS)
 
 
-def apply_mask_schedule(model: StudentModel, stage: int, phase: int) -> None:
-    """Set every group's trainability for (stage, phase).
+def apply_mask_schedule(model: StudentModel, phase: int) -> None:
+    """Set every group's trainability for a phase of stage 2 or later.
 
-    Stage 1 trains everything. From stage 2 on the backbone (embeddings,
-    positions, layer norms, attention, action head) is permanently frozen;
-    phase 1 trains the gate, the new experts and the task encoder with old
-    experts frozen, and phase 2 freezes the gate and unfreezes all experts.
+    Stage 1 trains a fresh student whole, so it calls nothing here. From
+    stage 2 on the backbone (embeddings, positions, layer norms, attention,
+    action head) is frozen and the task encoder trains; phase 1 trains the
+    gates and each layer's new experts (from `new_expert_start`) with the
+    old experts frozen, and phase 2 freezes the gates and trains every
+    expert. Each group's flag is decided from its name.
     """
-    if stage < 1:
-        raise ConfigError("stage index starts at 1")
     if phase not in (1, 2):
         raise ConfigError(f"unknown phase {phase}")
-    if stage == 1:
-        if phase == 2:
-            raise ConfigError("stage 1 has no phase 2")
-        for g in model.params.values():
-            g.set_trainable(True)
-        return
-    for name, g in model.params.items():
+    for name, group in model.params.items():
         if _is_backbone(name):
-            g.set_trainable(False)
-        elif name.startswith("taskenc."):
-            g.set_trainable(True)
-    for l, layer in enumerate(model.layers):
-        gate_on = phase == 1
-        layer.gate_w.set_trainable(gate_on)
-        layer.gate_b.set_trainable(gate_on)
-        for i, expert in enumerate(layer.experts):
-            expert_on = phase == 2 or i >= model.new_expert_start[l]
-            for grp in expert.groups:
-                grp.set_trainable(expert_on)
+            trainable = False
+        elif ".gate." in name:
+            trainable = phase == 1
+        elif ".experts." in name:  # blocks.<l>.experts.<i>.<w>
+            _, l, _, i, _ = name.split(".")
+            trainable = phase == 2 or int(i) >= model.new_expert_start[int(l)]
+        else:  # the task encoder
+            trainable = True
+        group.set_trainable(trainable)

@@ -1,16 +1,17 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
-The kernel set is deliberately closed: matmul, add, elementwise mul/div,
-layer norm, softmax, GELU, row lookup/scatter (embedding + MoE dispatch),
-top-k selection, log, exp, sqrt, concatenate, slicing, and the
-reshape/transpose/sum/mean plumbing needed to compose losses. float64 is
-the default precision; float32 works but the tight gradient-check
-tolerances assume 64-bit. `DimensionError` and `NumericError` are the
-`cpdistill.errors` classes.
+The kernel set is deliberately closed: matmul, add, sub, elementwise
+mul/div, layer norm, softmax, GELU, row lookup/scatter (embedding + MoE
+dispatch), top-k selection, log, exp, sqrt, concatenate, slicing, and the
+reshape/transpose/sum plumbing needed to compose losses; `tmean` is the
+mean over every element and takes no axis. float64 is the default
+precision; float32 works but the tight gradient-check tolerances assume
+64-bit. `DimensionError` and `NumericError` are the `cpdistill.errors`
+classes.
 
 Numerically risky kernels (matmul, div, log, exp, sqrt, gelu, softmax,
 layer_norm) validate their outputs and raise NumericError naming the
-kernel. Pure data movement (add, mul, concat, slice, reshape, transpose)
+kernel. Pure data movement (add, sub, mul, concat, slice, reshape, transpose)
 cannot create non-finite values from finite inputs and is left unchecked.
 
 Gradients are accumulated without defensive copies. A view of a child's
@@ -352,15 +353,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
+def tmean(a: Tensor) -> Tensor:
+    return tsum(a) * (1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------

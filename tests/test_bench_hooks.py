@@ -87,6 +87,32 @@ def test_call_forms_used_by_the_benchmark():
     assert binds(tensor.layer_norm, "x", "gain", "bias")
 
 
+def test_config_and_checkpoint_reads_of_the_benchmark(tmp_path):
+    # harness.py and checks.py read these config values, build an untrained
+    # student, and read a stage's checkpoint back
+    checks = bench_module("checks")
+    cfg = ProtocolConfig(strategy="ours", n_stages=2, tasks_per_stage=1, episodes_per_task=10,
+                         eval_episodes=3, replay_m=1, budget_fraction=0.2, kl_sigma0=0.5,
+                         model=dict(hidden_dim=8, depth=2, experts_per_layer=2, n_heads=2,
+                                    mlp_multiplier=2, encoder_hidden=4))
+    model_cfg = cfg.model_config()
+    added = cfg.expansion_config().experts_added
+    assert (cfg.kl_sigma0, cfg.budget_fraction, cfg.replay_m) == (0.5, 0.2, 1)
+    assert (cfg.n_stages, cfg.eval_episodes, cfg.strategy) == (2, 3, "ours")
+    student = model.StudentModel(cfg.model_config(), seed=3)
+    model.expand_experts(student, cfg.expansion_config(), seed=1)
+    student.save(tmp_path / "model", stage=2)
+    manifest, _ = checks.read_checkpoint(tmp_path / "model")
+    counts = manifest["extra"]["expert_counts"]
+    assert counts == [model_cfg.experts_per_layer + added] * model_cfg.depth
+    assert all(type(c) is int for c in counts)
+    loaded = checks.load_student(tmp_path)
+    assert isinstance(loaded, model.StudentModel) and loaded.expert_counts == counts
+    windows = np.random.default_rng(0).normal(size=(2, 3, model_cfg.obs_dim))
+    z = np.zeros((2, model_cfg.task_embed_dim))
+    assert np.array_equal(loaded.predict_batch(windows, z), student.predict_batch(windows, z))
+
+
 def test_train_step_calls_the_loss_hooks_through_module_globals(monkeypatch):
     cfg = ProtocolConfig(strategy="kl", n_stages=2, tasks_per_stage=1, episodes_per_task=10, replay_m=0,
                          model=dict(hidden_dim=8, depth=1, experts_per_layer=2, n_heads=2,

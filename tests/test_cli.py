@@ -59,6 +59,18 @@ def test_runtime_error_exit_2(tmp_path, capsys):
     assert "ConfigError" in err
 
 
+@pytest.mark.parametrize("text", ["[]", "null", '"ours"', '{"strategy": "ours"'])
+def test_distill_refuses_a_config_file_that_is_not_an_object(tmp_path, capsys, text):
+    bad = tmp_path / "c.json"
+    bad.write_text(text)
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(bad), "--out", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConfigError" in captured.err and str(bad) in captured.err
+    assert not run_dir.exists()
+
+
 def test_distill_deterministic_files(config_path, tmp_path, capsys):
     a, b = tmp_path / "runA", tmp_path / "runB"
     assert main(["distill", "--config", str(config_path), "--seed", "7", "--out", str(a)]) == 0

@@ -261,10 +261,33 @@ def test_config_rejects_removed_knobs():
     (dict(expansion={"experts_added": 1.5}), "experts_added"),
     (dict(expansion={"cold_start_bias": "-5"}), "cold_start_bias"),
     (dict(support_episodes=11), "support_episodes"),
+    # non-finite rates pass the sign checks, so finiteness is checked apart
+    (dict(expansion={"init_noise_std": float("inf")}), "init_noise_std"),
+    (dict(expansion={"gate_col_noise_std": float("inf")}), "gate_col_noise_std"),
+    (dict(expansion={"init_noise_std": float("nan")}), "init_noise_std"),
+    (dict(teacher_noise=float("inf")), "teacher_noise"),
+    (dict(infonce_tau=float("inf")), "infonce_tau"),
+    (dict(kl_sigma0=float("inf")), "kl_sigma0"),
+    (dict(ewc_lambda=float("inf")), "ewc_lambda"),
+    (dict(infonce_weight=float("inf")), "infonce_weight"),
+    (dict(weight_decay=float("inf")), "weight_decay"),
+    (dict(lr=float("inf")), "lr"),
+    (dict(lr=float("nan")), "lr"),
+    (dict(lr=10**400), "lr"),
+    # 2 * kl_sigma0**2 underflows to 0 or overflows
+    (dict(kl_sigma0=1e-320), "kl_sigma0"),
+    (dict(kl_sigma0=1e200), "kl_sigma0"),
 ])
 def test_config_rejects_bad_values_at_construction(over, key):
     with pytest.raises(ConfigError, match=key):
         tiny_protocol(**over)
+
+
+def test_config_accepts_an_infinite_cold_start_bias():
+    # a new expert the gate never picks
+    cfg = tiny_protocol(expansion={"cold_start_bias": float("-inf")})
+    assert cfg.expansion_config().cold_start_bias == float("-inf")
+    assert tiny_protocol(kl_sigma0=1e-150).kl_sigma0 == 1e-150
 
 
 def test_config_accepts_zero_weights():

@@ -127,8 +127,11 @@ def test_single_token_attention_is_value_projection():
     model = StudentModel(cfg, seed=7)
     x = Tensor(np.random.default_rng(0).normal(size=(1, 1, cfg.hidden_dim)))
     got = model._attention(x, 0)
-    p = model._attn[0]
-    expected = (x @ p["wv"].tensor + p["bv"].tensor) @ p["wo"].tensor + p["bo"].tensor
+
+    def w(name):
+        return model.params[f"blocks.0.attn.{name}"].tensor
+
+    expected = (x @ w("wv") + w("bv")) @ w("wo") + w("bo")
     assert np.allclose(got.data, expected.data, atol=1e-12)
 
 
@@ -218,14 +221,15 @@ def test_expansion_preserves_actions_with_masked_gate():
     model = StudentModel(cfg, seed=19)
     windows, z = probe(cfg, batch=16, seed=3)
     before = model.predict_batch(windows, z)
-    new = expand_experts(
+    expand_experts(
         model,
         ExpansionConfig(experts_added=1, init_noise_std=0.0, cold_start_bias=-np.inf,
                         gate_col_noise_std=0.0),
         seed=7,
     )
     assert model.expert_counts == [3, 3]
-    assert len(new) == 2 * 4
+    assert [len(layer.experts) for layer in model.layers] == [3, 3]
+    assert sum(".experts.2." in name for name in model.params) == 2 * 4
     after = model.predict_batch(windows, z)
     assert np.array_equal(before, after)
 
@@ -246,8 +250,11 @@ def test_expansion_counting_and_noop():
     total_before = sum(model.expert_counts)
     expand_experts(model, ExpansionConfig(experts_added=1), seed=1)
     assert sum(model.expert_counts) == total_before + 5
-    same = expand_experts(model, ExpansionConfig(experts_added=0), seed=1)
-    assert same == []
+    names = list(model.params)
+    assert expand_experts(model, ExpansionConfig(experts_added=0), seed=1) is None
+    assert list(model.params) == names and sum(model.expert_counts) == total_before + 5
+    with pytest.raises(AttributeError):
+        model.expert_counts = [1] * 5  # read from the layers, not stored
     with pytest.raises(ValueError):
         ExpansionConfig(cold_start_bias=0.5)
 
@@ -278,11 +285,11 @@ def trainable_names(model):
 def test_mask_schedule():
     cfg = tiny_config(depth=2, experts_per_layer=2)
     model = StudentModel(cfg, seed=37)
-    apply_mask_schedule(model, stage=1, phase=1)
+    # stage 1 trains a fresh student whole and applies no schedule
     assert trainable_names(model) == set(model.params)
 
     expand_experts(model, ExpansionConfig(), seed=2)
-    apply_mask_schedule(model, stage=2, phase=1)
+    apply_mask_schedule(model, phase=1)
     names = trainable_names(model)
     assert not any(".attn." in n or n.startswith(("embed.", "pos", "head.")) for n in names)
     assert not any(".ln" in n for n in names)
@@ -291,18 +298,14 @@ def test_mask_schedule():
     assert "blocks.0.experts.0.w1" not in names  # old expert frozen
     assert "taskenc.w1" in names
 
-    apply_mask_schedule(model, stage=3, phase=2)
+    apply_mask_schedule(model, phase=2)
     names = trainable_names(model)
     assert "blocks.0.gate.w" not in names
     assert "blocks.0.experts.0.w1" in names and "blocks.0.experts.2.w1" in names
     assert not any(".attn." in n for n in names)
 
     with pytest.raises(ConfigError):
-        apply_mask_schedule(model, stage=1, phase=2)
-    with pytest.raises(ConfigError):
-        apply_mask_schedule(model, stage=0, phase=1)
-    with pytest.raises(ConfigError):
-        apply_mask_schedule(model, stage=2, phase=3)
+        apply_mask_schedule(model, phase=3)
 
 
 def test_model_gradients_match_finite_differences():
@@ -380,7 +383,7 @@ def test_save_load_clone_round_trip(tmp_path):
     cfg = tiny_config(depth=2)
     model = StudentModel(cfg, seed=43)
     expand_experts(model, ExpansionConfig(), seed=3)
-    apply_mask_schedule(model, stage=2, phase=1)
+    apply_mask_schedule(model, phase=1)
     model.save(tmp_path / "m", stage=2)
     restored, header = StudentModel.load(tmp_path / "m")
     assert header["stage"] == 2
@@ -393,6 +396,14 @@ def test_save_load_clone_round_trip(tmp_path):
     assert np.array_equal(model.predict_batch(windows, z), twin.predict_batch(windows, z))
     twin.params["head.w"].tensor.data += 1.0
     assert not np.array_equal(model.predict_batch(windows, z), twin.predict_batch(windows, z))
+    assert twin.expert_counts == model.expert_counts
+    assert twin.new_expert_start == model.new_expert_start
+    assert trainable_names(twin) == trainable_names(model)
+
+    # clone checks the group names as load does
+    model.params["stray"] = ParamGroup("stray", Tensor(np.zeros(1)))
+    with pytest.raises(StateError, match="do not match"):
+        model.clone()
 
 
 def test_load_rejects_unknown_config_keys(tmp_path):
@@ -434,7 +445,8 @@ def test_moe_route_matches_per_expert_reference(k):
     layer = model.layers[0]
     layer.gate_b.tensor.data[2] = -50.0  # expert 2 receives no token
     for i in (0, 1):  # old experts frozen, as in phase 1 of a later stage
-        for g in layer.experts[i].groups:
+        expert = layer.experts[i]
+        for g in (expert.w1, expert.b1, expert.w2, expert.b2):
             g.set_trainable(False)
     rng = np.random.default_rng(5)
     x = T.Tensor(rng.normal(size=(24, 8)))
