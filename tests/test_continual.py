@@ -287,6 +287,7 @@ def test_config_accepts_an_infinite_cold_start_bias():
     # a new expert the gate never picks
     cfg = tiny_protocol(expansion={"cold_start_bias": float("-inf")})
     assert cfg.expansion_config().cold_start_bias == float("-inf")
+    # 2 * kl_sigma0**2 is still a positive float here
     assert tiny_protocol(kl_sigma0=1e-150).kl_sigma0 == 1e-150
 
 

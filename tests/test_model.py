@@ -228,7 +228,6 @@ def test_expansion_preserves_actions_with_masked_gate():
         seed=7,
     )
     assert model.expert_counts == [3, 3]
-    assert [len(layer.experts) for layer in model.layers] == [3, 3]
     assert sum(".experts.2." in name for name in model.params) == 2 * 4
     after = model.predict_batch(windows, z)
     assert np.array_equal(before, after)
