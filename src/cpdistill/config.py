@@ -12,44 +12,37 @@ Top-level keys
     epochs_stage1 / epochs_later
                         training passes for stage 1 / stages >= 2 (phase 1 is
                         epoch 1, phase 2 the rest)
-    batch_size / lr / weight_decay
-                        optimizer settings (AdamW)
+    batch_size / lr     optimizer settings (AdamW, without weight decay)
     max_steps           optional cap on optimizer steps per stage
     replay_m            trajectories selected per task per stage
     replay_strategy     dpp | ffs | random
     budget_fraction     replay buffer cap as a fraction of distill data seen
     teacher_noise       optional Gaussian action-noise std for teachers
-    infonce_tau / infonce_weight / infonce_trajs
-                        contrastive objective temperature, loss weight and
-                        per-step trajectory batch size (at least 2: a batch
-                        needs two trajectories of one task for a positive
-                        pair)
-    ewc_lambda / ewc_batches
-                        EWC penalty weight and Fisher-estimate batch count
+    infonce_weight      contrastive objective loss weight
+    ewc_lambda          EWC penalty weight
     kl_sigma0           shared Gaussian std in the KL baseline penalty
     model               ModelConfig fields (hidden_dim, depth,
                         experts_per_layer, mlp_multiplier, top_k, seq_len,
                         task_embed_dim, n_heads, stats_chunks,
                         encoder_hidden, dtype)
-    expansion           experts_added / init_noise_std / cold_start_bias /
-                        gate_col_noise_std
 
-The point-mass suite (`cpdistill.teachers`) and the weight of the
-load-balancing loss (`cpdistill.continual.aux_lambda`) are fixed, not
-configured.
+Fixed, not configured: the point-mass suite (`cpdistill.teachers`), the
+weight of the load-balancing loss (`cpdistill.continual.aux_lambda`), the
+InfoNCE temperature (`cpdistill.taskctx.ContrastiveBatch`, 0.1) and
+trajectory batch (`cpdistill.continual.INFONCE_TRAJS`, 32), the EWC
+Fisher-estimate batch count (`cpdistill.continual.EWC_BATCHES`, 8), and
+expert expansion (the defaults of `cpdistill.model.ExpansionConfig`).
 
 Each value must have its field's type: an int for a count (not a bool), an
-int or a float for a rate, a str, a dict for a section, and an int or None
+int or a float for a rate, a str, a dict for model, and an int or None
 for max_steps. Counts must be positive (replay_m and the epoch counts may be
-0, max_steps may be None, and infonce_trajs must be at least 2), and so must
-model stats_chunks and encoder_hidden. support_episodes may not exceed
-episodes_per_task. Every top-level rate and both expansion noise stds must
-be finite (cold_start_bias may be -inf). lr, infonce_tau and kl_sigma0 must
-be > 0, and 2 * kl_sigma0**2, the KL divisor, a positive finite float. The
-weights and noise stds must be >= 0, since a negative one flips the sign of
-its term: weight_decay, teacher_noise, infonce_weight, ewc_lambda, and the
-expansion's init_noise_std and gate_col_noise_std. budget_fraction must lie
-in (0, 1]. A bad value or an unknown key, at the top level or in a section,
+0, and max_steps may be None), and so must model stats_chunks and
+encoder_hidden. support_episodes may not exceed episodes_per_task. Every
+top-level rate must be finite. lr and kl_sigma0 must be > 0, and
+2 * kl_sigma0**2, the KL divisor, a positive finite float. The weights and
+the noise std must be >= 0, since a negative one flips the sign of its
+term: teacher_noise, infonce_weight and ewc_lambda. budget_fraction must
+lie in (0, 1]. A bad value or an unknown key, at the top level or in model,
 raises ConfigError naming it when the config is built; a config file that
 is not a JSON object raises one naming the file.
 """
@@ -60,14 +53,14 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .model import ExpansionConfig, ModelConfig
 from .replay import STRATEGIES as REPLAY_STRATEGIES
 from .teachers import ACTION_DIM, OBS_DIM
 
 __all__ = [
     "StrategyTraits", "STRATEGY_TRAITS", "STRATEGIES", "ProtocolConfig",
-    "load_config", "save_config", "desk_config",
+    "read_json_object", "load_config", "save_config", "desk_config",
 ]
 
 
@@ -94,7 +87,7 @@ STRATEGIES = tuple(STRATEGY_TRAITS)
 # top-level counts that must be at least 1
 _COUNTS = (
     "n_stages", "tasks_per_stage", "episodes_per_task", "support_episodes",
-    "eval_episodes", "batch_size", "ewc_batches",
+    "eval_episodes", "batch_size",
 )
 
 
@@ -110,20 +103,15 @@ class ProtocolConfig:
     epochs_later: int = 8
     batch_size: int = 128
     lr: float = 1e-4
-    weight_decay: float = 0.0
     max_steps: int | None = None
     replay_m: int = 8
     replay_strategy: str = "dpp"
     budget_fraction: float = 0.10
     teacher_noise: float = 0.0
-    infonce_tau: float = 0.1
     infonce_weight: float = 1.0
-    infonce_trajs: int = 32
     ewc_lambda: float = 100.0
-    ewc_batches: int = 8
     kl_sigma0: float = 1.0
     model: dict = field(default_factory=dict)
-    expansion: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _check_types(ProtocolConfig, "config", vars(self))
@@ -148,16 +136,14 @@ class ProtocolConfig:
         for key in ("epochs_stage1", "epochs_later", "replay_m"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if self.infonce_trajs < 2:
-            raise ConfigError(f"infonce_trajs must be at least 2, got {self.infonce_trajs}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps must be positive or None, got {self.max_steps}")
-        for key in ("lr", "infonce_tau", "kl_sigma0"):
+        for key in ("lr", "kl_sigma0"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         if not 0 < 2.0 * self.kl_sigma0 * self.kl_sigma0 <= sys.float_info.max:  # KL divisor
             raise ConfigError(f"2 * kl_sigma0**2 must be finite and > 0, got {self.kl_sigma0}")
-        for key in ("weight_decay", "teacher_noise", "infonce_weight", "ewc_lambda"):
+        for key in ("teacher_noise", "infonce_weight", "ewc_lambda"):
             if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if not 0 < self.budget_fraction <= 1:
@@ -173,13 +159,12 @@ class ProtocolConfig:
         self._model = _build(
             ModelConfig, "model", {**self.model, "obs_dim": OBS_DIM, "action_dim": ACTION_DIM}
         )
-        self._expansion = _build(ExpansionConfig, "expansion", self.expansion)
 
     def model_config(self) -> ModelConfig:
         return self._model
 
     def expansion_config(self) -> ExpansionConfig:
-        return self._expansion
+        return ExpansionConfig()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -216,13 +201,26 @@ def _check_types(cls, section: str, values: dict) -> None:
                 raise ConfigError(f"{section} {f.name} must be {f.type}, got {value!r}")
 
 
-def load_config(path) -> ProtocolConfig:
+def read_json_object(path) -> dict:
+    """The JSON object in file ``path``, a run record such as ``config.json``
+    or ``state.json``; `StateError` naming the file when it holds no JSON or
+    another JSON value."""
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as err:  # malformed JSON or text
-        raise ConfigError(f"config file {path} is not JSON: {err}") from None
+        raise StateError(f"{path} is not JSON: {err}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, got {type(data).__name__}")
+        raise StateError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_config(path) -> ProtocolConfig:
+    """The config in file ``path``; `ConfigError` naming the file when it
+    holds no JSON object."""
+    try:
+        data = read_json_object(path)
+    except StateError as err:
+        raise ConfigError(f"config file {err}") from None
     return ProtocolConfig.from_dict(data)
 
 

@@ -53,7 +53,9 @@ another seed; ``config.json`` is written, when absent, only after that
 stage has loaded. `open_stage` (``cpdistill eval``) restores stage k from the
 directory alone: the config from ``config.json``, the seed from
 ``stage_k/state.json``. ``cpdistill report`` picks its stage with
-`completed_stages`.
+`completed_stages`. A ``config.json`` or ``state.json`` that holds no JSON
+object raises `StateError` naming the file, or `ConfigError` where
+`load_config` reads it (`cpdistill.config.read_json_object`).
 
 `ProtocolRunner.load_stage` is the one reader of a stage directory;
 `open_stage` takes only the seed, through the completeness check
@@ -76,7 +78,7 @@ import numpy as np
 from . import seeds
 from . import tensor as T
 from .checkpoint import load_groups, load_optimizer, save_groups, save_optimizer
-from .config import STRATEGY_TRAITS, ProtocolConfig, load_config, save_config
+from .config import STRATEGY_TRAITS, ProtocolConfig, load_config, read_json_object, save_config
 from .errors import ConfigError, InputError, StateError
 from .metrics import MetricsMatrix
 from .model import (
@@ -118,6 +120,11 @@ __all__ = [
     "completed_stages",
 ]
 
+# trajectories per InfoNCE batch and batches per EWC Fisher estimate, read
+# when a batch is drawn
+INFONCE_TRAJS = 32
+EWC_BATCHES = 8
+
 
 @dataclass
 class StageConfig:
@@ -135,7 +142,7 @@ class StageConfig:
 class EWCState:
     anchors: dict[str, np.ndarray]
     fisher: dict[str, np.ndarray]
-    lam: float = 100.0
+    lam: float
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +238,15 @@ def distill_loss(
 def estimate_fisher(model: StudentModel, batches, lam: float = 0.0) -> dict[str, np.ndarray]:
     """Diagonal Fisher surrogate: per-parameter mean squared gradient of the
     training loss over the given batches."""
-    trainless = [g for g in model.groups() if g.trainable]
-    sums = {g.name: np.zeros_like(g.tensor.data) for g in trainless}
+    trainable = [g for g in model.groups() if g.trainable]
+    sums = {g.name: np.zeros_like(g.tensor.data) for g in trainable}
     count = 0
     for batch in batches:
-        for g in trainless:
+        for g in trainable:
             g.tensor.grad = None
         loss = distill_loss(model, batch.windows, batch.contexts, batch.targets, lam)
         loss.backward()
-        for g in trainless:
+        for g in trainable:
             if g.tensor.grad is not None:
                 sums[g.name] += g.tensor.grad**2
         count += 1
@@ -268,7 +275,7 @@ def kl_penalty(
     prev_model: StudentModel | None,
     windows: np.ndarray,
     contexts: np.ndarray,
-    sigma0: float = 1.0,
+    sigma0: float,
     *,
     actions: Tensor | None = None,
 ) -> Tensor:
@@ -339,9 +346,7 @@ class ProtocolRunner:
 
     def _fresh_student(self, stage: int) -> None:
         model = StudentModel(self.model_cfg, seed=seeds.int_seed(self.seed, stage, seeds.INIT))
-        self._adopt(
-            model, AdamW(model.groups(), lr=self.config.lr, weight_decay=self.config.weight_decay)
-        )
+        self._adopt(model, AdamW(model.groups(), lr=self.config.lr))
 
     def _adopt(self, model: StudentModel, optimizer: AdamW) -> None:
         """Make ``model``, stepped by ``optimizer``, the runner's student,
@@ -365,7 +370,7 @@ class ProtocolRunner:
         if self.out_dir is not None:
             saved = self.out_dir / "config.json"
             # compared as config.json holds it: JSON turns tuples into lists
-            if saved.exists() and json.loads(saved.read_text()) != json.loads(
+            if saved.exists() and read_json_object(saved) != json.loads(
                 json.dumps(self.config.to_dict())
             ):
                 raise StateError(
@@ -548,9 +553,7 @@ class ProtocolRunner:
             idx = self._nce_sample(rng, nce_labels)
             if idx is not None:
                 z = self.model.encoder.encode(nce_stats[idx])
-                nce = infonce_loss(
-                    ContrastiveBatch(z, nce_labels[idx], self.config.infonce_tau)
-                )
+                nce = infonce_loss(ContrastiveBatch(z, nce_labels[idx]))
                 loss = loss + nce * self.config.infonce_weight
         if self.ewc_state is not None:
             loss = loss + ewc_penalty(self.model, self.ewc_state)
@@ -568,11 +571,11 @@ class ProtocolRunner:
         self.global_step += 1
 
     def _nce_sample(self, rng, labels) -> np.ndarray | None:
-        """Up to ``infonce_trajs`` trajectories, round-robin over tasks so
+        """Up to `INFONCE_TRAJS` trajectories, round-robin over tasks so
         that a batch holds negatives when more than one task exists, and a
         positive pair whenever a task has two trajectories; None when no
         task has two."""
-        size = min(self.config.infonce_trajs, labels.size)
+        size = min(INFONCE_TRAJS, labels.size)
         per_label = []
         for lab in np.unique(labels):
             idx = np.nonzero(labels == lab)[0]
@@ -590,14 +593,14 @@ class ProtocolRunner:
         return np.array(order, dtype=np.intp)
 
     def _fisher_batches(self, dataset: DistillDataset, k: int) -> list:
-        """The first ``ewc_batches`` batches of a shuffled pass over stage k's
+        """The first `EWC_BATCHES` batches of a shuffled pass over stage k's
         training pool, with their contexts."""
         ctx = self.provider.context_matrix(dataset.task_ids)
         rng = seeds.rng(self.seed, k, seeds.FISHER)
         batches = dataset.epoch_batches(rng, self.config.batch_size)
         return [
             SimpleNamespace(windows=b.windows, contexts=ctx[b.task_idx], targets=b.targets)
-            for b in islice(batches, self.config.ewc_batches)
+            for b in islice(batches, EWC_BATCHES)
         ]
 
     # ------------------------------------------------------------------
@@ -690,10 +693,10 @@ class ProtocolRunner:
 
 def _stage_state(d: Path) -> dict:
     """The ``state.json`` of stage directory ``d``; `StateError` when the
-    stage is not complete."""
+    stage is not complete or the file holds no JSON object."""
     if not (d / "state.json").exists():
         raise StateError(f"{d} is not a complete stage: it has no state.json")
-    return json.loads((d / "state.json").read_text())
+    return read_json_object(d / "state.json")
 
 
 def open_stage(run_dir, k: int) -> ProtocolRunner:

@@ -158,7 +158,7 @@ def select(
 
 @dataclass
 class ReplayBuffer:
-    budget_fraction: float = 0.10
+    budget_fraction: float
     trajs_by_task: dict = field(default_factory=dict)
     total_distill_seen: int = 0
 

@@ -7,11 +7,10 @@ with no complete stage gets the table of its top-level `metrics.tsv`
 alone. Output is tabular text; plotting is left to external tooling."""
 from __future__ import annotations
 
-import json
 import shutil
 from pathlib import Path
 
-from .config import STRATEGY_TRAITS
+from .config import STRATEGY_TRAITS, read_json_object
 from .continual import completed_stages
 from .errors import StateError
 from .metrics import MetricsMatrix, accuracy, bwt, pca_project
@@ -34,23 +33,21 @@ def summary_table(matrix: MetricsMatrix, strategy: str | None = None) -> str:
 
 def render_report(run_dir, report_dir=None) -> Path:
     """Render a report directory from a finished (or partial) run. Raises
-    `StateError` when the run has neither a complete stage nor a
-    `metrics.tsv`."""
+    `StateError`, writing nothing, when the run has neither a complete stage
+    nor a `metrics.tsv`, or its ``config.json`` holds no JSON object."""
     run_dir = Path(run_dir)
     done = completed_stages(run_dir)
     last = run_dir / f"stage_{done[-1]}" if done else None
     metrics = (last or run_dir) / "metrics.tsv"
     if not metrics.exists():
         raise StateError(f"{run_dir} has no complete stage and no metrics.tsv")
+    config_path = run_dir / "config.json"
+    has_config = config_path.exists()
+    strategy = read_json_object(config_path).get("strategy") if has_config else None
     report_dir = Path(report_dir) if report_dir else run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-
-    config_path = run_dir / "config.json"
-    strategy = None
-    if config_path.exists():
-        config = json.loads(config_path.read_text())
-        strategy = config.get("strategy")
-        (report_dir / "config.json").write_text(json.dumps(config, indent=1, sort_keys=True))
+    if has_config:
+        shutil.copyfile(config_path, report_dir / "config.json")
 
     shutil.copyfile(metrics, report_dir / "metrics.tsv")
     (report_dir / "summary.tsv").write_text(summary_table(MetricsMatrix.load(metrics), strategy))

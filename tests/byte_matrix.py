@@ -43,7 +43,11 @@ Across the change that made the point-mass suite and the aux-loss weight
 constants, each run directory's ``config.json`` and ``report/config.json``
 differ by design: the parent's hold the two lines ``"lambda_schedule": {},``
 and ``"suite": {},``, which the change no longer writes. Every other file,
-``commands.txt`` included, is compared as usual.
+``commands.txt`` included, is compared as usual. Across the change that
+made ``weight_decay``, ``infonce_tau``, ``infonce_trajs``, ``ewc_batches``
+and the ``expansion`` section constants, the same two files differ by the
+five lines that hold those keys, which the change no longer writes, and by
+the comma after ``"teacher_noise": 0.0``, which ``weight_decay`` followed.
 
 One matrix took 90 s on an idle 2-core machine with one BLAS thread.
 pytest does not collect this file.

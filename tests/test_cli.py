@@ -10,14 +10,13 @@ from cpdistill.cli import main
 from cpdistill.config import ProtocolConfig, load_config, save_config
 from cpdistill.continual import ProtocolRunner
 from cpdistill.metrics import MetricsMatrix
-from cpdistill.report import render_report
+from cpdistill.report import render_report, summary_table
 from cpdistill.taskctx import load_contexts
 from oracles import tree_bytes
 
 
-@pytest.fixture()
-def config_path(tmp_path):
-    cfg = ProtocolConfig(
+def tiny_cli_config() -> ProtocolConfig:
+    return ProtocolConfig(
         strategy="ours",
         n_stages=2,
         tasks_per_stage=2,
@@ -31,8 +30,12 @@ def config_path(tmp_path):
         model=dict(hidden_dim=16, depth=1, experts_per_layer=2, n_heads=2,
                    mlp_multiplier=2, encoder_hidden=8),
     )
+
+
+@pytest.fixture()
+def config_path(tmp_path):
     path = tmp_path / "config.json"
-    save_config(path, cfg)
+    save_config(path, tiny_cli_config())
     return path
 
 
@@ -295,15 +298,17 @@ def test_distill_refuses_another_runs_directory(config_path, tmp_path, capsys):
 
 
 def test_distill_refuses_a_run_with_suite_or_lambda_schedule_keys(config_path, tmp_path, capsys):
-    # a run directory whose config.json still holds the sections that became
-    # constants was written under another config format
+    # a run directory whose config.json still holds the sections and values
+    # that became constants was written under another config format
     run_dir = tmp_path / "run"
     assert main(["distill", "--config", str(config_path), "--seed", "3",
                  "--out", str(run_dir)]) == 0
     capsys.readouterr()
     saved = json.loads((run_dir / "config.json").read_text())
+    removed = {"lambda_schedule": {}, "suite": {}, "weight_decay": 0.0, "infonce_tau": 0.1,
+               "infonce_trajs": 32, "ewc_batches": 8, "expansion": {}}
     (run_dir / "config.json").write_text(
-        json.dumps({**saved, "lambda_schedule": {}, "suite": {}}, indent=1, sort_keys=True))
+        json.dumps({**saved, **removed}, indent=1, sort_keys=True))
     (run_dir / "stage_2" / "state.json").unlink()
     before = tree_bytes(run_dir)
     assert main(["distill", "--config", str(config_path), "--seed", "3",
@@ -311,4 +316,57 @@ def test_distill_refuses_a_run_with_suite_or_lambda_schedule_keys(config_path, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "StateError" in captured.err and "config.json" in captured.err
+    assert tree_bytes(run_dir) == before
+
+    # eval rebuilds the config, which refuses the removed keys by name
+    assert main(["eval", "--out", str(run_dir), "--stage", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConfigError" in captured.err
+    assert all(key in captured.err for key in removed)
+    assert tree_bytes(run_dir) == before
+
+    # report reads only the strategy, so it still renders the stage-1 table
+    assert main(["report", "--out", str(run_dir)]) == 0
+    table = summary_table(MetricsMatrix.load(run_dir / "stage_1" / "metrics.tsv"), "ours")
+    assert capsys.readouterr().out.startswith(table + "report written to")
+    assert (run_dir / "report" / "config.json").read_bytes() == before[Path("config.json")]
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished 2-stage ``ours`` run, for tests to copy and damage."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = tiny_cli_config()
+    save_config(root / "config.json", cfg)
+    assert main(["distill", "--config", str(root / "config.json"), "--seed", "3",
+                 "--out", str(root / "run")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("record,text,command", [
+    ("config.json", "[]", "report"),
+    ("config.json", "{", "report"),
+    ("config.json", "[]", "distill"),
+    ("config.json", "{", "distill"),
+    ("stage_2/state.json", "{", "eval"),
+    ("stage_2/state.json", "[]", "distill"),
+])
+def test_a_damaged_run_record_raises_a_state_error_naming_it(
+    finished_run, tmp_path, capsys, record, text, command
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run / "run", run_dir)
+    (run_dir / record).write_text(text)
+    before = tree_bytes(run_dir)
+    args = {
+        "report": [],
+        "distill": ["--config", str(finished_run / "config.json"), "--seed", "3"],
+        "eval": ["--stage", "2"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"StateError: {run_dir / record}" in captured.err
     assert tree_bytes(run_dir) == before

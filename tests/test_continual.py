@@ -1,11 +1,13 @@
+import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cpdistill import replay, teachers
+from cpdistill import continual, replay, teachers
 from cpdistill import tensor as T
-from cpdistill.config import STRATEGIES, ProtocolConfig
+from cpdistill.config import STRATEGIES, ProtocolConfig, save_config
 from cpdistill.continual import (
     DistillDataset,
     EWCState,
@@ -161,7 +163,7 @@ def test_ewc_penalty_values():
     # per entry: (1/2) * 2 * 0.25 = 0.25, two entries -> 0.5
     assert ewc_penalty(model, scalar).item() == pytest.approx(0.5, abs=1e-12)
 
-    bad = EWCState({"head.b": np.zeros(7)}, {"head.b": np.zeros(7)})
+    bad = EWCState({"head.b": np.zeros(7)}, {"head.b": np.zeros(7)}, lam=1.0)
     with pytest.raises(StateError):
         ewc_penalty(model, bad)
 
@@ -170,7 +172,7 @@ def test_kl_penalty_values():
     model = small_model(seed=1)
     twin = model.clone()
     windows, ctx, _ = batch_for(model, n=3)
-    assert kl_penalty(model, twin, windows, ctx).item() == pytest.approx(0.0, abs=1e-18)
+    assert kl_penalty(model, twin, windows, ctx, 1.0).item() == pytest.approx(0.0, abs=1e-18)
 
     twin.params["head.b"].tensor.data += np.array([1.0, 0.0])
     val = kl_penalty(model, twin, windows, ctx, sigma0=1.0).item()
@@ -179,7 +181,7 @@ def test_kl_penalty_values():
     assert val_wide < 1e-9
 
     with pytest.raises(StateError):
-        kl_penalty(model, None, windows, ctx)
+        kl_penalty(model, None, windows, ctx, 1.0)
 
 
 def test_dataset_buckets_and_full_pass():
@@ -213,10 +215,37 @@ def test_stage_config_validation():
 
 
 def test_config_rejects_removed_knobs():
-    # the point-mass suite and the aux-loss weight are constants, not sections
-    for key, value in (("suite", {}), ("lambda_schedule", {"start": 0.01}), ("workers", 4)):
+    # the point-mass suite, the aux-loss weight, the InfoNCE temperature and
+    # batch, the Fisher batch count and expert expansion are constants, and
+    # AdamW runs without weight decay
+    for key, value in (("suite", {}), ("lambda_schedule", {"start": 0.01}), ("workers", 4),
+                       ("weight_decay", 0.0), ("infonce_tau", 0.1), ("infonce_trajs", 32),
+                       ("ewc_batches", 8), ("expansion", {})):
         with pytest.raises(ConfigError, match=key):
             ProtocolConfig.from_dict({**tiny_protocol().to_dict(), key: value})
+
+
+def test_config_surface_is_29_settable_values(tmp_path):
+    # every settable value is named here, so a new knob is an edit to this test
+    top = {
+        "strategy", "n_stages", "tasks_per_stage", "episodes_per_task", "support_episodes",
+        "eval_episodes", "epochs_stage1", "epochs_later", "batch_size", "lr", "max_steps",
+        "replay_m", "replay_strategy", "budget_fraction", "teacher_noise", "infonce_weight",
+        "ewc_lambda", "kl_sigma0",
+    }
+    model = {
+        "hidden_dim", "depth", "experts_per_layer", "mlp_multiplier", "top_k", "seq_len",
+        "task_embed_dim", "n_heads", "stats_chunks", "encoder_hidden", "dtype",
+    }
+    save_config(tmp_path / "config.json", ProtocolConfig())
+    saved = json.loads((tmp_path / "config.json").read_text())
+    assert set(saved) == top | {"model"} and len(saved) == 19
+    # the model section takes every ModelConfig field but the suite's dims
+    assert {f.name for f in fields(ModelConfig)} - {"obs_dim", "action_dim"} == model
+    defaults = ModelConfig(obs_dim=teachers.OBS_DIM, action_dim=teachers.ACTION_DIM)
+    cfg = ProtocolConfig(model={key: getattr(defaults, key) for key in model})
+    assert cfg.model_config() == defaults
+    assert len(top) + len(model) == 29
 
 
 @pytest.mark.parametrize("over,key", [
@@ -235,19 +264,19 @@ def test_config_rejects_removed_knobs():
     (dict(max_steps="5"), "max_steps"),
     (dict(model={"obs_dim": 5}), "obs_dim"),
     (dict(model={"action_dim": 3}), "action_dim"),
-    (dict(infonce_trajs=1), "infonce_trajs"),
+    (dict(replay_m=-1), "replay_m"),
     (dict(lr=-1.0), "lr"),
     (dict(lr=0.0), "lr"),
     (dict(kl_sigma0=0.0), "kl_sigma0"),
-    (dict(infonce_tau=0.0), "infonce_tau"),
+    (dict(budget_fraction=0.0), "budget_fraction"),
     (dict(teacher_noise=-1.0), "teacher_noise"),
-    (dict(expansion={"init_noise_std": -1.0}), "init_noise_std"),
-    (dict(expansion={"gate_col_noise_std": -1.0}), "gate_col_noise_std"),
+    (dict(epochs_later=-1), "epochs_later"),
+    (dict(max_steps=0), "max_steps"),
     (dict(model={"stats_chunks": 0}), "stats_chunks"),
     (dict(model={"encoder_hidden": 0}), "encoder_hidden"),
     (dict(budget_fraction=-0.1), "budget_fraction"),
     (dict(budget_fraction=1.5), "budget_fraction"),
-    (dict(weight_decay=-1.0), "weight_decay"),
+    (dict(strategy="nope"), "strategy"),
     (dict(infonce_weight=-1.0), "infonce_weight"),
     (dict(ewc_lambda=-1.0), "ewc_lambda"),
     (dict(model=5), "model"),
@@ -258,19 +287,19 @@ def test_config_rejects_removed_knobs():
     (dict(batch_size=True), "batch_size"),
     (dict(model={"hidden_dim": "16"}), "hidden_dim"),
     (dict(model={"dtype": 64}), "dtype"),
-    (dict(expansion={"experts_added": 1.5}), "experts_added"),
-    (dict(expansion={"cold_start_bias": "-5"}), "cold_start_bias"),
+    (dict(budget_fraction="0.1"), "budget_fraction"),
+    (dict(tasks_per_stage=0), "tasks_per_stage"),
     (dict(support_episodes=11), "support_episodes"),
     # non-finite rates pass the sign checks, so finiteness is checked apart
-    (dict(expansion={"init_noise_std": float("inf")}), "init_noise_std"),
-    (dict(expansion={"gate_col_noise_std": float("inf")}), "gate_col_noise_std"),
-    (dict(expansion={"init_noise_std": float("nan")}), "init_noise_std"),
+    (dict(ewc_lambda=float("nan")), "ewc_lambda"),
+    (dict(kl_sigma0=float("nan")), "kl_sigma0"),
+    (dict(budget_fraction=float("inf")), "budget_fraction"),
     (dict(teacher_noise=float("inf")), "teacher_noise"),
-    (dict(infonce_tau=float("inf")), "infonce_tau"),
+    (dict(model={"dtype": "float16"}), "dtype"),
     (dict(kl_sigma0=float("inf")), "kl_sigma0"),
     (dict(ewc_lambda=float("inf")), "ewc_lambda"),
     (dict(infonce_weight=float("inf")), "infonce_weight"),
-    (dict(weight_decay=float("inf")), "weight_decay"),
+    (dict(replay_m=2), "replay_m"),  # over the 10% budget of 10 episodes
     (dict(lr=float("inf")), "lr"),
     (dict(lr=float("nan")), "lr"),
     (dict(lr=10**400), "lr"),
@@ -283,22 +312,18 @@ def test_config_rejects_bad_values_at_construction(over, key):
         tiny_protocol(**over)
 
 
-def test_config_accepts_an_infinite_cold_start_bias():
-    # a new expert the gate never picks
-    cfg = tiny_protocol(expansion={"cold_start_bias": float("-inf")})
-    assert cfg.expansion_config().cold_start_bias == float("-inf")
+def test_config_accepts_a_small_kl_sigma0():
     # 2 * kl_sigma0**2 is still a positive float here
     assert tiny_protocol(kl_sigma0=1e-150).kl_sigma0 == 1e-150
 
 
 def test_config_accepts_zero_weights():
-    cfg = tiny_protocol(weight_decay=0.0, infonce_weight=0.0, ewc_lambda=0.0)
+    cfg = tiny_protocol(infonce_weight=0.0, ewc_lambda=0.0)
     assert cfg.infonce_weight == 0.0 and cfg.ewc_lambda == 0.0
 
 
 def test_config_accepts_ints_for_rates_and_equal_support():
-    cfg = tiny_protocol(lr=1, teacher_noise=0, support_episodes=10, max_steps=None,
-                        expansion={"cold_start_bias": -5})
+    cfg = tiny_protocol(lr=1, teacher_noise=0, support_episodes=10, max_steps=None)
     assert cfg.lr == 1 and cfg.support_episodes == cfg.episodes_per_task
     assert ProtocolConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -472,7 +497,9 @@ def test_stage_1_training_reads_no_strategy_trait():
     dict(n_stages=1, tasks_per_stage=3, infonce_trajs=3),
     dict(n_stages=1, episodes_per_task=1, support_episodes=1, replay_m=0),  # no task has two
 ])
-def test_contrastive_batches_without_a_positive_pair_do_not_stop_the_run(over):
+def test_contrastive_batches_without_a_positive_pair_do_not_stop_the_run(over, monkeypatch):
+    over = dict(over)
+    monkeypatch.setattr(continual, "INFONCE_TRAJS", over.pop("infonce_trajs", continual.INFONCE_TRAJS))
     cfg = tiny_protocol(**over)
     matrix, _ = run_protocol(cfg, seed=14)
     assert matrix.stages() == list(range(1, cfg.n_stages + 1))
@@ -483,8 +510,9 @@ def test_contrastive_batches_without_a_positive_pair_do_not_stop_the_run(over):
     ([0, 1, 2, 3, 3], 2),  # the pair comes from the one task that has two
     ([0, 0, 0, 1], 2),     # round-robin already holds a pair: unchanged
 ])
-def test_nce_sample_holds_a_positive_pair(labels, tasks):
-    runner = ProtocolRunner(tiny_protocol(infonce_trajs=3), seed=0)
+def test_nce_sample_holds_a_positive_pair(labels, tasks, monkeypatch):
+    monkeypatch.setattr(continual, "INFONCE_TRAJS", 3)
+    runner = ProtocolRunner(tiny_protocol(), seed=0)
     labels = np.array(labels)
     idx = runner._nce_sample(np.random.default_rng(0), labels)
     assert idx.size == 3 and len(set(idx.tolist())) == 3
@@ -493,8 +521,6 @@ def test_nce_sample_holds_a_positive_pair(labels, tasks):
 
 
 def test_lambda_uses_cumulative_step(monkeypatch):
-    import cpdistill.continual as continual
-
     cfg = tiny_protocol(n_stages=2, episodes_per_task=10, epochs_stage1=1, epochs_later=1)
     runner = ProtocolRunner(cfg, seed=8)
     runner.run_stage(runner.stage_config(1), runner.stream[0])
@@ -593,8 +619,6 @@ def test_kl_step_runs_the_student_once(monkeypatch):
 
 
 def test_ewc_fisher_only_before_a_later_stage(tmp_path, monkeypatch):
-    import cpdistill.continual as continual
-
     calls = []
     real = continual.estimate_fisher
     monkeypatch.setattr(continual, "estimate_fisher", lambda *a, **kw: calls.append(1) or real(*a, **kw))
@@ -627,7 +651,7 @@ def test_kl_snapshot_only_before_a_later_stage(monkeypatch):
 
 
 def test_one_input_error_class():
-    from cpdistill import continual, taskctx
+    from cpdistill import taskctx
 
     assert continual.InputError is taskctx.InputError
     with pytest.raises(taskctx.InputError):

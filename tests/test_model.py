@@ -254,8 +254,6 @@ def test_expansion_counting_and_noop():
     assert list(model.params) == names and sum(model.expert_counts) == total_before + 5
     with pytest.raises(AttributeError):
         model.expert_counts = [1] * 5  # read from the layers, not stored
-    with pytest.raises(ValueError):
-        ExpansionConfig(cold_start_bias=0.5)
 
 
 def test_expansion_cold_start_probability():
