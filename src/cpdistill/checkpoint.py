@@ -1,13 +1,34 @@
-"""Checkpoint container: a JSON manifest plus one flat binary of values.
+"""The encoding of every run record: the one writer of each text format,
+the one reader, and the parameter checkpoint built on them.
 
-Layout of a checkpoint directory:
+Formats (the run-directory layout is in `cpdistill.continual`):
 
-    manifest.json   group table [{name, dtype, shape, trainable, offset, nbytes}]
-                    plus an arbitrary "extra" header (model config, stage, ...)
-    params.bin      row-major little-endian values, one contiguous segment per
-                    group at the manifest offset
+    JSON object     `write_json`: indent 1, sorted keys, no final newline.
+                    ``config.json``, ``state.json``, a checkpoint's
+                    ``manifest.json``.
+    JSON lines      `write_json_lines`: one compact JSON object per line.
+                    ``buffer.jsonl``.
+    table           `write_table`: tab-separated cells, a newline after
+                    each line; a float cell is ``repr(float(x))``, so it
+                    reads back bit for bit, any other cell ``str(x)``.
+                    ``metrics.tsv``, ``contexts.tsv``, ``audits.tsv``,
+                    ``routing_layer*.tsv``, and the report's ``summary.tsv``
+                    and ``embedding_pca.tsv``.
+    checkpoint      a directory of two files (`save_groups`):
+                    manifest.json   {format, groups, extra}: the group table
+                                    [{name, dtype, shape, trainable, offset,
+                                    nbytes}] and an arbitrary "extra" header
+                                    (model layout, optimizer state, ...)
+                    params.bin      row-major little-endian values, one
+                                    contiguous segment per group at its
+                                    offset
+                    ``model/``, ``optimizer/``, ``fisher/``.
 
-Round-trips are bit-exact; that is the whole point of the format.
+`read_record` is the one reader: it applies the caller's parse to a file's
+text, or to its bytes, and turns any failure of the parse into a
+`StateError` naming the file. `json_object`, `json_lines` and `table` parse
+the three text formats; each record's module maps their values to its
+fields. Round-trips are bit-exact.
 """
 from __future__ import annotations
 
@@ -20,9 +41,87 @@ from .errors import StateError
 from .optim import AdamW, ParamGroup
 from .tensor import Tensor
 
-__all__ = ["save_groups", "load_groups", "save_optimizer", "load_optimizer"]
+__all__ = [
+    "write_json", "write_json_lines", "write_table", "table_text",
+    "read_record", "json_object", "json_lines", "table", "read_json_object",
+    "save_groups", "load_groups", "save_optimizer", "load_optimizer",
+]
 
 _FORMAT = "cpdistill-params-v1"
+
+
+# ---------------------------------------------------------------------------
+# writers
+
+
+def _write(path, text: str) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def write_json(path, obj: dict) -> None:
+    _write(path, json.dumps(obj, indent=1, sort_keys=True))
+
+
+def write_json_lines(path, records) -> None:
+    _write(path, "".join(json.dumps(r) + "\n" for r in records))
+
+
+def _cell(x) -> str:
+    # numpy floats go through float(): their repr names the numpy type
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def table_text(rows) -> str:
+    """The table format of ``rows``, each an iterable of cells."""
+    return "\n".join("\t".join(_cell(x) for x in row) for row in rows) + "\n"
+
+
+def write_table(path, rows) -> None:
+    _write(path, table_text(rows))
+
+
+# ---------------------------------------------------------------------------
+# the reader and the parses of the text formats
+
+
+def read_record(path, parse, *, binary: bool = False):
+    """``parse`` applied to the text of file ``path``, or to its bytes when
+    ``binary``. Text that does not decode, or a parse that fails, raises
+    `StateError` naming the file."""
+    path = Path(path)
+    try:
+        return parse(path.read_bytes() if binary else path.read_text())
+    except StateError as err:  # a parse's own check
+        raise StateError(f"{path} is damaged: {err}") from None
+    except (ValueError, LookupError, TypeError, AttributeError) as err:
+        raise StateError(f"{path} is damaged: {type(err).__name__}: {err}") from None
+
+
+def json_object(text: str) -> dict:
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise StateError(f"it holds a JSON {type(data).__name__}, not an object")
+    return data
+
+
+def json_lines(text: str) -> list:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def table(text: str) -> list[list[str]]:
+    return [line.split("\t") for line in text.splitlines()]
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in file ``path``, such as ``config.json`` or
+    ``state.json``."""
+    return read_record(path, json_object)
+
+
+# ---------------------------------------------------------------------------
+# parameter checkpoints
 
 
 def _le_dtype(dtype: np.dtype) -> str:
@@ -36,8 +135,7 @@ def _le_dtype(dtype: np.dtype) -> str:
 
 def save_groups(path, groups: list[ParamGroup], extra: dict | None = None) -> None:
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    table = []
+    entries = []
     blobs = []
     offset = 0
     for g in groups:
@@ -45,7 +143,7 @@ def save_groups(path, groups: list[ParamGroup], extra: dict | None = None) -> No
             _le_dtype(g.tensor.data.dtype), copy=False
         )
         buf = raw.tobytes()
-        table.append(
+        entries.append(
             {
                 "name": g.name,
                 "dtype": _le_dtype(g.tensor.data.dtype),
@@ -57,30 +155,40 @@ def save_groups(path, groups: list[ParamGroup], extra: dict | None = None) -> No
         )
         blobs.append(buf)
         offset += len(buf)
-    manifest = {"format": _FORMAT, "groups": table, "extra": extra or {}}
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    manifest = {"format": _FORMAT, "groups": entries, "extra": extra or {}}
+    write_json(path / "manifest.json", manifest)
     (path / "params.bin").write_bytes(b"".join(blobs))
 
 
-def load_groups(path) -> tuple[list[ParamGroup], dict]:
-    path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+def _manifest(text: str, parse_extra) -> tuple[list, object]:
+    manifest = json_object(text)
     if manifest.get("format") != _FORMAT:
-        raise StateError(f"unrecognized checkpoint format in {path}")
-    blob = (path / "params.bin").read_bytes()
+        raise StateError(f"unrecognized checkpoint format {manifest.get('format')!r}")
+    entries = [
+        (e["name"], np.dtype(e["dtype"]), tuple(e["shape"]), e["trainable"], e["offset"])
+        for e in manifest["groups"]
+    ]
+    return entries, parse_extra(manifest["extra"])
+
+
+def _params(blob: bytes, entries: list) -> list[ParamGroup]:
     groups = []
-    for entry in manifest["groups"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
+    for name, dtype, shape, trainable, offset in entries:
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(
-            blob, dtype=dtype, count=count, offset=entry["offset"]
-        ).reshape(shape)
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
         arr = arr.astype(dtype.newbyteorder("="), copy=True)
-        groups.append(
-            ParamGroup(entry["name"], Tensor(arr), trainable=entry["trainable"])
-        )
-    return groups, manifest.get("extra", {})
+        groups.append(ParamGroup(name, Tensor(arr), trainable=trainable))
+    return groups
+
+
+def load_groups(path, parse_extra=dict) -> tuple[list[ParamGroup], object]:
+    """The groups of the checkpoint in directory ``path`` and its extra
+    header, as ``parse_extra`` makes it inside the reader of
+    ``manifest.json``."""
+    path = Path(path)
+    entries, extra = read_record(path / "manifest.json", lambda t: _manifest(t, parse_extra))
+    groups = read_record(path / "params.bin", lambda b: _params(b, entries), binary=True)
+    return groups, extra
 
 
 def save_optimizer(path, opt: AdamW) -> None:
@@ -96,14 +204,14 @@ def save_optimizer(path, opt: AdamW) -> None:
 
 
 def load_optimizer(path, groups: list[ParamGroup]) -> AdamW:
-    moment_groups, extra = load_groups(path)
+    opt = AdamW(groups)
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
+    # the moments fill m and v once params.bin is read
+    moment_groups, _ = load_groups(path, lambda extra: opt.load_state(extra["optimizer"], m, v))
     for g in moment_groups:
         if g.name.endswith(".m"):
             m[g.name[:-2]] = g.tensor.data
         elif g.name.endswith(".v"):
             v[g.name[:-2]] = g.tensor.data
-    opt = AdamW(groups)
-    opt.load_state(extra["optimizer"], m, v)
     return opt

@@ -43,16 +43,14 @@ top-level rate must be finite. lr and kl_sigma0 must be > 0, and
 the noise std must be >= 0, since a negative one flips the sign of its
 term: teacher_noise, infonce_weight and ewc_lambda. budget_fraction must
 lie in (0, 1]. A bad value or an unknown key, at the top level or in model,
-raises ConfigError naming it when the config is built; a config file that
-is not a JSON object raises one naming the file.
+raises ConfigError naming it when the config is built.
 """
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
+from .checkpoint import read_json_object, write_json
 from .errors import ConfigError, StateError
 from .model import ExpansionConfig, ModelConfig
 from .replay import STRATEGIES as REPLAY_STRATEGIES
@@ -60,7 +58,7 @@ from .teachers import ACTION_DIM, OBS_DIM
 
 __all__ = [
     "StrategyTraits", "STRATEGY_TRAITS", "STRATEGIES", "ProtocolConfig",
-    "read_json_object", "load_config", "save_config", "desk_config",
+    "load_config", "save_config", "desk_config",
 ]
 
 
@@ -201,19 +199,6 @@ def _check_types(cls, section: str, values: dict) -> None:
                 raise ConfigError(f"{section} {f.name} must be {f.type}, got {value!r}")
 
 
-def read_json_object(path) -> dict:
-    """The JSON object in file ``path``, a run record such as ``config.json``
-    or ``state.json``; `StateError` naming the file when it holds no JSON or
-    another JSON value."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as err:  # malformed JSON or text
-        raise StateError(f"{path} is not JSON: {err}") from None
-    if not isinstance(data, dict):
-        raise StateError(f"{path} must hold a JSON object, got {type(data).__name__}")
-    return data
-
-
 def load_config(path) -> ProtocolConfig:
     """The config in file ``path``; `ConfigError` naming the file when it
     holds no JSON object."""
@@ -225,9 +210,7 @@ def load_config(path) -> ProtocolConfig:
 
 
 def save_config(path, config: ProtocolConfig) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(config.to_dict(), indent=1, sort_keys=True))
+    write_json(path, config.to_dict())
 
 
 def desk_config(strategy: str = "ours") -> ProtocolConfig:

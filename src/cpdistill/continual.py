@@ -53,9 +53,9 @@ another seed; ``config.json`` is written, when absent, only after that
 stage has loaded. `open_stage` (``cpdistill eval``) restores stage k from the
 directory alone: the config from ``config.json``, the seed from
 ``stage_k/state.json``. ``cpdistill report`` picks its stage with
-`completed_stages`. A ``config.json`` or ``state.json`` that holds no JSON
-object raises `StateError` naming the file, or `ConfigError` where
-`load_config` reads it (`cpdistill.config.read_json_object`).
+`completed_stages`. Every record is read through one reader,
+`cpdistill.checkpoint.read_record`, so a damaged one raises `StateError`
+naming the file, or `ConfigError` where `load_config` reads ``config.json``.
 
 `ProtocolRunner.load_stage` is the one reader of a stage directory;
 `open_stage` takes only the seed, through the completeness check
@@ -77,8 +77,9 @@ import numpy as np
 
 from . import seeds
 from . import tensor as T
-from .checkpoint import load_groups, load_optimizer, save_groups, save_optimizer
-from .config import STRATEGY_TRAITS, ProtocolConfig, load_config, read_json_object, save_config
+from .checkpoint import json_object, load_groups, load_optimizer, read_json_object, read_record
+from .checkpoint import save_groups, save_optimizer, write_json, write_table
+from .config import STRATEGY_TRAITS, ProtocolConfig, load_config, save_config
 from .errors import ConfigError, InputError, StateError
 from .metrics import MetricsMatrix
 from .model import (
@@ -634,7 +635,7 @@ class ProtocolRunner:
             "seed": self.seed,
             "total_distill_seen": self.buffer.total_distill_seen,
         }
-        (d / "state.json").write_text(json.dumps(state, indent=1, sort_keys=True))
+        write_json(d / "state.json", state)
 
     def _write_routing(self, d: Path) -> None:
         """Per-layer expert loads on a fixed probe: one full-length window
@@ -648,11 +649,10 @@ class ProtocolRunner:
         loads = self.model.routing_loads(np.stack(windows), np.stack(zs))
         for l, layer_loads in enumerate(loads):
             total = layer_loads.sum()
-            lines = ["expert\tload\tfraction"]
-            for i, c in enumerate(layer_loads):
-                frac = c / total if total else 0.0
-                lines.append(f"{i}\t{int(c)}\t{repr(float(frac))}")
-            (d / f"routing_layer{l}.tsv").write_text("\n".join(lines) + "\n")
+            write_table(d / f"routing_layer{l}.tsv", [
+                ["expert", "load", "fraction"],
+                *([i, int(c), c / total if total else 0.0] for i, c in enumerate(layer_loads)),
+            ])
 
     def load_stage(self, k: int) -> None:
         """Restore the runner to the end of stage k from ``stage_k/``: the
@@ -693,10 +693,18 @@ class ProtocolRunner:
 
 def _stage_state(d: Path) -> dict:
     """The ``state.json`` of stage directory ``d``; `StateError` when the
-    stage is not complete or the file holds no JSON object."""
+    stage is not complete or the file lacks a key `load_stage` reads."""
     if not (d / "state.json").exists():
         raise StateError(f"{d} is not a complete stage: it has no state.json")
-    return read_json_object(d / "state.json")
+    return read_record(d / "state.json", _state)
+
+
+def _state(text: str) -> dict:
+    state = json_object(text)
+    missing = {"strategy", "seed", "global_step", "total_distill_seen"} - set(state)
+    if missing:
+        raise StateError(f"it lacks {sorted(missing)}")
+    return state
 
 
 def open_stage(run_dir, k: int) -> ProtocolRunner:

@@ -2,8 +2,9 @@
 module that found it; the message says what was wrong.
 
     ConfigError     a config or request that cannot be satisfied
-    InputError      data the program cannot use
-    StateError      a checkpoint or strategy state that does not match
+    InputError      in-memory data the program cannot use
+    StateError      a damaged or mismatched run record, or a strategy
+                    state that does not match
     DimensionError  a kernel got shapes that do not fit
     NumericError    a kernel produced a non-finite value
 """
@@ -17,13 +18,15 @@ class ConfigError(ValueError):
 
 
 class InputError(ValueError):
-    """Data the program cannot use: an empty or malformed trajectory, pool,
-    batch, metrics matrix or context."""
+    """In-memory data the program cannot use: an empty or malformed
+    trajectory, pool, batch, metrics matrix or context."""
 
 
 class StateError(ValueError):
-    """A checkpoint or strategy state (EWC anchors, KL snapshot) that is
-    missing or does not match the run or model."""
+    """A run record that is damaged (`cpdistill.checkpoint.read_record`
+    names the file), missing, or written by another run, or a strategy
+    state (EWC anchors, KL snapshot) that does not match the run or
+    model."""
 
 
 class DimensionError(ValueError):

@@ -6,11 +6,11 @@ values recompute bit-identically from disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .checkpoint import read_record, table, write_table
+from .errors import InputError, StateError
 
 __all__ = [
     "MetricsMatrix",
@@ -63,28 +63,28 @@ class MetricsMatrix:
         return [j for j, s in enumerate(self.intro_stage) if s <= stage]
 
     # ------------------------------------------------------------------
-    # exact text serialization
+    # ``metrics.tsv``: a `cpdistill.checkpoint` table
 
     def save(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["stage\t" + "\t".join(self.task_ids)]
-        lines.append("intro\t" + "\t".join(str(s) for s in self.intro_stage))
-        for k in self.stages():
-            cells = [repr(float(x)) for x in self.rows[k]]
-            lines.append(f"{k}\t" + "\t".join(cells))
-        path.write_text("\n".join(lines) + "\n")
+        write_table(path, [
+            ["stage", *self.task_ids],
+            ["intro", *self.intro_stage],
+            *([k, *self.rows[k]] for k in self.stages()),
+        ])
 
     @classmethod
     def load(cls, path) -> "MetricsMatrix":
-        lines = Path(path).read_text().strip().split("\n")
-        header = lines[0].split("\t")
-        if header[0] != "stage":
-            raise InputError(f"not a metrics matrix file: {path}")
-        intro = lines[1].split("\t")
+        return read_record(path, cls._parse)
+
+    @classmethod
+    def _parse(cls, text: str) -> "MetricsMatrix":
+        header, intro, *rows = table(text)
+        if header[0] != "stage" or intro[0] != "intro":
+            raise StateError("it is not a metrics matrix")
+        if any(len(cells) != len(header) for cells in (intro, *rows)):
+            raise StateError("its rows differ in length")
         matrix = cls(task_ids=header[1:], intro_stage=[int(s) for s in intro[1:]])
-        for line in lines[2:]:
-            cells = line.split("\t")
+        for cells in rows:
             matrix.rows[int(cells[0])] = np.array([float(c) for c in cells[1:]])
         return matrix
 

@@ -134,7 +134,13 @@ def moe_route(
 
     Gate probabilities are a softmax over all experts; the top-k by logit
     (ties to the lowest index) are kept and their probabilities renormalized.
-    Gradients reach the gate only through the selected probabilities.
+    Gradients reach the gate only through the selected probabilities. At
+    top_k = 1 the one weight is p / p = 1 whatever the logits, so the
+    output, and the distillation loss with it, sends the gate no gradient:
+    the gate learns only from the aux loss (`aux_loss`), whose weight
+    reaches its floor at step 198. Switch Transformer (Fedus et al.,
+    arXiv:2101.03961) scales a top-1 output by its gate probability
+    instead; adopting that would change what the student learns.
 
     Dispatch is sorted and dropless, as in MegaBlocks (Gale et al.,
     arXiv:2211.15841): the (token, slot) pairs are stably sorted by expert,

@@ -14,11 +14,11 @@ ConfigError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import seeds
+from .checkpoint import read_record, table, write_table
 from .errors import ConfigError, InputError
 
 __all__ = [
@@ -134,7 +134,7 @@ def _ffs(features: np.ndarray, m: int) -> list[int]:
 def select(
     features: np.ndarray,
     m: int,
-    strategy: str = "dpp",
+    strategy: str,
     seed: int = 0,
 ) -> list[int]:
     """Pick m pool indices. Deterministic for a given seed and strategy."""
@@ -184,33 +184,23 @@ class SelectionAudit:
 
 
 def write_audits(path, audits: list[SelectionAudit]) -> None:
-    """One tab-separated row per audit, under a header; the chosen ids are
-    joined by ``;`` and the log-det keeps every bit."""
-    lines = ["stage\ttask_id\tstrategy\tseed\tlog_det\tchosen_ids"]
-    for a in audits:
-        lines.append(
-            f"{a.stage}\t{a.task_id}\t{a.strategy}\t{a.seed}\t"
-            f"{repr(float(a.log_det))}\t{';'.join(a.chosen_ids)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One table row per audit, under a header; the chosen ids are joined
+    by ``;``."""
+    write_table(path, [
+        ["stage", "task_id", "strategy", "seed", "log_det", "chosen_ids"],
+        *([a.stage, a.task_id, a.strategy, a.seed, a.log_det, ";".join(a.chosen_ids)]
+          for a in audits),
+    ])
+
+
+def _audit(stage, task_id, strategy, seed, log_det, chosen) -> SelectionAudit:
+    chosen_ids = chosen.split(";") if chosen else []
+    return SelectionAudit(int(stage), task_id, strategy, int(seed), chosen_ids, float(log_det))
 
 
 def read_audits(path) -> list[SelectionAudit]:
     """The audits `write_audits` wrote, field for field."""
-    audits = []
-    for line in Path(path).read_text().strip().split("\n")[1:]:
-        stage, task_id, strategy, seed, log_det, chosen = line.split("\t")
-        audits.append(
-            SelectionAudit(
-                stage=int(stage),
-                task_id=task_id,
-                strategy=strategy,
-                seed=int(seed),
-                chosen_ids=chosen.split(";") if chosen else [],
-                log_det=float(log_det),
-            )
-        )
-    return audits
+    return read_record(path, lambda text: [_audit(*cells) for cells in table(text)[1:]])
 
 
 def update_buffer(buffer: ReplayBuffer, n_new_distill: int, task_id: str, selected: list) -> ReplayBuffer:
@@ -232,7 +222,7 @@ def update_buffer(buffer: ReplayBuffer, n_new_distill: int, task_id: str, select
 def select_replay(
     trajs: list,
     m: int,
-    strategy: str = "dpp",
+    strategy: str,
     seed: int = 0,
     stage: int = 0,
 ) -> tuple[list, SelectionAudit]:

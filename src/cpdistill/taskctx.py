@@ -11,11 +11,11 @@ its support-trajectory embeddings. A run stores the cached vectors in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import read_record, table, write_table
 from .errors import DimensionError, InputError
 from .optim import ParamGroup
 from .tensor import Tensor
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-def traj_stats(traj, n_chunks: int = 8) -> np.ndarray:
+def traj_stats(traj, n_chunks: int) -> np.ndarray:
     """Chunk-mean featurization: per chunk the mean state, mean action and
     mean reward, concatenated in chunk order (reward last in each triple)."""
     actions = np.asarray(traj.actions, dtype=np.float64)
@@ -56,8 +56,8 @@ class TaskEncoder:
     def __init__(
         self,
         input_dim: int,
-        hidden_dim: int = 64,
-        embed_dim: int = 16,
+        hidden_dim: int,
+        embed_dim: int,
         *,
         rng: np.random.Generator,
         dtype=np.float64,
@@ -133,7 +133,7 @@ def infonce_loss(batch: ContrastiveBatch) -> Tensor:
 
 
 def task_context_for(
-    encoder: TaskEncoder, support_trajs: list, n_chunks: int = 8
+    encoder: TaskEncoder, support_trajs: list, n_chunks: int
 ) -> np.ndarray:
     """Renormalized mean of the support trajectories' embeddings."""
     if not support_trajs:
@@ -152,7 +152,7 @@ class ContextProvider:
     stage is open; once a stage closes its contexts stay as last computed."""
 
     encoder: TaskEncoder
-    n_chunks: int = 8
+    n_chunks: int
     support: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
 
@@ -180,19 +180,16 @@ class ContextProvider:
 
 def write_contexts(path, contexts: dict, task_ids) -> None:
     """`contexts.tsv`: one line per task of ``task_ids`` that ``contexts``
-    holds, its id then its vector as exact repr floats, tab-separated."""
-    lines = []
-    for tid in task_ids:
-        if tid in contexts:
-            lines.append(tid + "\t" + "\t".join(repr(float(v)) for v in contexts[tid]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    holds, its id then its vector."""
+    write_table(path, ([tid, *contexts[tid]] for tid in task_ids if tid in contexts))
+
+
+def _parse_contexts(text: str) -> tuple[list[str], np.ndarray]:
+    rows = table(text)
+    vectors = np.array([[float(c) for c in cells[1:]] for cells in rows])
+    return [cells[0] for cells in rows], vectors
 
 
 def load_contexts(path) -> tuple[list[str], np.ndarray]:
     """The task ids and context vectors `write_contexts` wrote, in order."""
-    ids, rows = [], []
-    for line in Path(path).read_text().strip().split("\n"):
-        cells = line.split("\t")
-        ids.append(cells[0])
-        rows.append([float(c) for c in cells[1:]])
-    return ids, np.asarray(rows)
+    return read_record(path, _parse_contexts)

@@ -26,13 +26,12 @@ both a `rollout`; each episode's result depends only on its own seed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import seeds as seeding  # `seeds` names episode seeds here
+from .checkpoint import json_lines, read_record, write_json_lines
 from .errors import ConfigError
 
 __all__ = [
@@ -280,44 +279,21 @@ def collect(
 
 
 # ---------------------------------------------------------------------------
-# trajectory files (one JSON record per line; floats round-trip exactly)
+# trajectory files: JSON lines, one record per trajectory
 
 
 def write_trajectories(path, trajs: list[Trajectory]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for t in trajs:
-            fh.write(
-                json.dumps(
-                    {
-                        "task_id": t.task_id,
-                        "seed": t.seed,
-                        "states": t.states.tolist(),
-                        "actions": t.actions.tolist(),
-                        "rewards": t.rewards.tolist(),
-                        "success": t.success,
-                    }
-                )
-                + "\n"
-            )
+    write_json_lines(path, (
+        {"task_id": t.task_id, "seed": t.seed, "states": t.states.tolist(),
+         "actions": t.actions.tolist(), "rewards": t.rewards.tolist(), "success": t.success}
+        for t in trajs
+    ))
+
+
+def _trajectory(rec: dict) -> Trajectory:
+    arrays = {k: np.asarray(rec[k], dtype=np.float64) for k in ("states", "actions", "rewards")}
+    return Trajectory(rec["task_id"], int(rec["seed"]), success=bool(rec["success"]), **arrays)
 
 
 def read_trajectories(path) -> list[Trajectory]:
-    out = []
-    with Path(path).open() as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                Trajectory(
-                    task_id=rec["task_id"],
-                    seed=int(rec["seed"]),
-                    states=np.asarray(rec["states"], dtype=np.float64),
-                    actions=np.asarray(rec["actions"], dtype=np.float64),
-                    rewards=np.asarray(rec["rewards"], dtype=np.float64),
-                    success=bool(rec["success"]),
-                )
-            )
-    return out
+    return read_record(path, lambda text: [_trajectory(rec) for rec in json_lines(text)])

@@ -1,10 +1,17 @@
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpdistill
 from cpdistill import tensor as T
-from cpdistill.checkpoint import load_groups, load_optimizer, save_groups, save_optimizer
+from cpdistill.checkpoint import (
+    load_groups, load_optimizer, read_record, save_groups, save_optimizer, table, write_table,
+)
+from cpdistill.errors import StateError
 from cpdistill.optim import AdamW, ParamGroup
 from oracles import step_with
 
@@ -59,3 +66,48 @@ def test_bad_format_rejected(tmp_path):
     (d / "params.bin").write_bytes(b"")
     with pytest.raises(ValueError):
         load_groups(d)
+
+
+def test_table_cells_keep_every_bit(tmp_path):
+    third = 1.0 / 3.0
+    rows = [["id", 7, np.int64(8)], ["a", third, np.float64(third), np.float32(0.1)], []]
+    write_table(tmp_path / "t.tsv", rows)
+    text = (tmp_path / "t.tsv").read_text()
+    # a numpy float goes through float(), so it is written as Python writes it
+    assert text == f"id\t7\t8\na\t{third!r}\t{third!r}\t{float(np.float32(0.1))!r}\n\n"
+    cells = read_record(tmp_path / "t.tsv", table)
+    assert float(cells[1][1]) == third and float(cells[1][3]) == np.float32(0.1)
+    write_table(tmp_path / "empty.tsv", [])
+    assert (tmp_path / "empty.tsv").read_text() == "\n"
+
+
+def test_a_failed_parse_names_the_file(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_text("a\tb\n")
+    with pytest.raises(StateError, match=re.escape(f"{path} is damaged: ValueError: could not")):
+        read_record(path, lambda text: float(table(text)[0][0]))
+    path.write_bytes(b"\xff")
+    with pytest.raises(StateError, match=re.escape(f"{path} is damaged: UnicodeDecodeError")):
+        read_record(path, table)
+
+
+# A run record is read and written by `cpdistill.checkpoint` alone, so that a
+# new record cannot bring its own parser. `cpdistill report` echoes the
+# summary.tsv it has just written; shutil.copyfile copies without parsing.
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+EXEMPT = {("cli.py", "read_text")}
+
+
+def test_only_checkpoint_reads_or_writes_files():
+    found = set()
+    for path in sorted(Path(cpdistill.__file__).resolve().parent.glob("*.py")):
+        if path.name == "checkpoint.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_CALLS:
+                    assert (path.name, name) in EXEMPT, f"{path.name}:{node.lineno} calls {name}"
+                    found.add((path.name, name))
+    assert found == EXEMPT  # no stale exemption

@@ -333,15 +333,47 @@ def test_distill_refuses_a_run_with_suite_or_lambda_schedule_keys(config_path, t
     assert (run_dir / "report" / "config.json").read_bytes() == before[Path("config.json")]
 
 
-@pytest.fixture(scope="module")
-def finished_run(tmp_path_factory):
-    """A finished 2-stage ``ours`` run, for tests to copy and damage."""
-    root = tmp_path_factory.mktemp("finished")
-    cfg = tiny_cli_config()
+def _finished(tmp_path_factory, strategy):
+    root = tmp_path_factory.mktemp(f"finished_{strategy}")
+    cfg = ProtocolConfig.from_dict({**tiny_cli_config().to_dict(), "strategy": strategy})
     save_config(root / "config.json", cfg)
     assert main(["distill", "--config", str(root / "config.json"), "--seed", "3",
                  "--out", str(root / "run")]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished 2-stage ``ours`` run, for tests to copy and damage."""
+    return _finished(tmp_path_factory, "ours")
+
+
+@pytest.fixture(scope="module")
+def finished_ewc_run(tmp_path_factory):
+    """The same run under ``ewc``, whose stage 1 also holds ``fisher/``."""
+    return _finished(tmp_path_factory, "ewc")
+
+
+def _drop(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+def _set_strategy(text):
+    return json.dumps({**json.loads(text), "strategy": "nope"})
+
+
+# a damaged record of stage 1, read by `eval --stage 1` and by `distill`
+# into the ewc run cut back to stage 1
+_STAGE_1 = [
+    ("metrics.tsv", "stage\tx", "two cells"),
+    ("contexts.tsv", "a\tnope\n", "non-float"),
+    ("audits.tsv", "stage\ttask_id\n1\ta\n", "two columns"),
+    ("buffer.jsonl", '{"task_id": "a"}\n', "no seed"),
+    ("model/manifest.json", "[]", "[]"),
+    ("optimizer/manifest.json", _drop("extra"), "no extra"),
+    ("fisher/manifest.json", "{", "{"),
+    ("model/params.bin", "", "empty"),
+]
 
 
 @pytest.mark.parametrize("record,text,command", [
@@ -351,22 +383,34 @@ def finished_run(tmp_path_factory):
     ("config.json", "{", "distill"),
     ("stage_2/state.json", "{", "eval"),
     ("stage_2/state.json", "[]", "distill"),
+    pytest.param("config.json", _set_strategy, "report", id="config.json-unknown strategy-report"),
+    pytest.param("stage_2/metrics.tsv", "stage\tx", "report", id="stage_2/metrics.tsv-two cells-report"),
+    pytest.param("stage_2/metrics.tsv", lambda text: text[:text.rindex("\t")] + "\n", "report",
+                 id="stage_2/metrics.tsv-short row-report"),
+    pytest.param("stage_2/state.json", _drop("seed"), "eval", id="stage_2/state.json-no seed-eval"),
+    *(pytest.param(f"stage_1/{name}", text, command, id=f"stage_1/{name}-{label}-{command}")
+      for name, text, label in _STAGE_1 for command in ("eval", "distill")),
 ])
 def test_a_damaged_run_record_raises_a_state_error_naming_it(
-    finished_run, tmp_path, capsys, record, text, command
+    finished_run, finished_ewc_run, tmp_path, capsys, record, text, command
 ):
+    run = finished_ewc_run if record.startswith("stage_1/") else finished_run
     run_dir = tmp_path / "run"
-    shutil.copytree(finished_run / "run", run_dir)
-    (run_dir / record).write_text(text)
+    shutil.copytree(run / "run", run_dir)
+    if record.startswith("stage_1/"):  # cut back, so that distill reads stage 1
+        shutil.rmtree(run_dir / "stage_2")
+        (run_dir / "metrics.tsv").unlink()
+    path = run_dir / record
+    path.write_text(text(path.read_text()) if callable(text) else text)
     before = tree_bytes(run_dir)
     args = {
         "report": [],
-        "distill": ["--config", str(finished_run / "config.json"), "--seed", "3"],
-        "eval": ["--stage", "2"],
+        "distill": ["--config", str(run / "config.json"), "--seed", "3"],
+        "eval": ["--stage", "1" if record.startswith("stage_1/") else "2"],
     }[command]
     capsys.readouterr()
     assert main([command, *args, "--out", str(run_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"StateError: {run_dir / record}" in captured.err
+    assert f"StateError: {path}" in captured.err
     assert tree_bytes(run_dir) == before

@@ -86,9 +86,9 @@ def test_select_m_equals_n_and_errors():
         assert sorted(select(feats, 4, strategy=strategy)) == [0, 1, 2, 3]
     assert sorted(exact_dpp(build_kernel(feats), 4)) == [0, 1, 2, 3]
     with pytest.raises(ConfigError):
-        select(feats, 5)
+        select(feats, 5, strategy="dpp")
     with pytest.raises(ConfigError):
-        select(feats, 0)
+        select(feats, 0, strategy="dpp")
     with pytest.raises(ConfigError):
         select(feats, 2, strategy="best")
     with pytest.raises(ConfigError):

@@ -44,11 +44,11 @@ def test_traj_stats_shape_and_reward_channel():
 def test_empty_trajectory_rejected():
     empty = SimpleNamespace(states=np.zeros((1, 4)), actions=np.zeros((0, 2)), rewards=np.zeros(0))
     with pytest.raises(InputError):
-        traj_stats(empty)
+        traj_stats(empty, n_chunks=8)
 
 
 def test_encoder_outputs_unit_norm_and_pure():
-    enc = TaskEncoder(input_dim=7 * 8, rng=np.random.default_rng(5))
+    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(5))
     traj = fake_traj(seed=2)
     z1 = encode_trajectory(enc, traj)
     z2 = encode_trajectory(enc, traj)
@@ -141,22 +141,22 @@ def test_task_context_mean_semantics():
     e2 = np.zeros(16)
     e2[1] = 1.0
 
-    single = task_context_for(StubEncoder([e1]), [traj])
+    single = task_context_for(StubEncoder([e1]), [traj], n_chunks=8)
     assert np.allclose(single, e1, atol=1e-9)
 
-    dup = task_context_for(StubEncoder([e1, e1]), [traj, traj])
+    dup = task_context_for(StubEncoder([e1, e1]), [traj, traj], n_chunks=8)
     assert np.allclose(dup, single, atol=1e-12)
 
-    mid = task_context_for(StubEncoder([e1, e2]), [traj, traj])
+    mid = task_context_for(StubEncoder([e1, e2]), [traj, traj], n_chunks=8)
     expected = (e1 + e2) / np.sqrt(2.0)
     assert np.allclose(mid, expected, atol=1e-9)
 
     with pytest.raises(InputError):
-        task_context_for(StubEncoder([e1]), [])
+        task_context_for(StubEncoder([e1]), [], n_chunks=8)
 
 
 def test_context_provider_cache_and_refresh():
-    enc = TaskEncoder(input_dim=7 * 8, rng=np.random.default_rng(11))
+    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(11))
     provider = ContextProvider(enc, n_chunks=8)
     provider.set_support("a", [fake_traj(seed=4)])
     with pytest.raises(InputError):
