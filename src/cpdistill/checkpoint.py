@@ -17,12 +17,19 @@ Formats (the run-directory layout is in `cpdistill.continual`):
     checkpoint      a directory of two files (`save_groups`):
                     manifest.json   {format, groups, extra}: the group table
                                     [{name, dtype, shape, trainable, offset,
-                                    nbytes}] and an arbitrary "extra" header
-                                    (model layout, optimizer state, ...)
+                                    nbytes}] and the "extra" header
                     params.bin      row-major little-endian values, one
                                     contiguous segment per group at its
                                     offset
                     ``model/``, ``optimizer/``, ``fisher/``.
+
+Checkpoint headers, parsed inside the reader of ``manifest.json``
+(`load_groups`): ``model/``'s holds the layout (model ``config``,
+``expert_counts``, ``new_expert_start``), ``optimizer/``'s only
+``{"optimizer": {"t": ...}}``, each moment group's step count (the learning
+rate is ``config.json``'s), and ``fisher/``'s nothing. A header that lacks a
+key or does not match its groups raises `StateError` naming the file; one
+with more keys, such as an older model ``stage`` or optimizer ``lr``, loads.
 
 `read_record` is the one reader: it applies the caller's parse to a file's
 text, or to its bytes, and turns any failure of the parse into a
@@ -168,7 +175,7 @@ def _manifest(text: str, parse_extra) -> tuple[list, object]:
         (e["name"], np.dtype(e["dtype"]), tuple(e["shape"]), e["trainable"], e["offset"])
         for e in manifest["groups"]
     ]
-    return entries, parse_extra(manifest["extra"])
+    return entries, parse_extra(manifest["extra"], {e[0]: e[2] for e in entries})
 
 
 def _params(blob: bytes, entries: list) -> list[ParamGroup]:
@@ -181,10 +188,11 @@ def _params(blob: bytes, entries: list) -> list[ParamGroup]:
     return groups
 
 
-def load_groups(path, parse_extra=dict) -> tuple[list[ParamGroup], object]:
+def load_groups(path, parse_extra=lambda extra, shapes: extra) -> tuple[list[ParamGroup], object]:
     """The groups of the checkpoint in directory ``path`` and its extra
-    header, as ``parse_extra`` makes it inside the reader of
-    ``manifest.json``."""
+    header, as ``parse_extra(extra, shapes)`` makes it inside the reader of
+    ``manifest.json``. ``shapes`` maps each stored group's name to its
+    shape, so that the parse can check the header against the groups."""
     path = Path(path)
     entries, extra = read_record(path / "manifest.json", lambda t: _manifest(t, parse_extra))
     groups = read_record(path / "params.bin", lambda b: _params(b, entries), binary=True)
@@ -200,18 +208,31 @@ def save_optimizer(path, opt: AdamW) -> None:
     for name in sorted(opt.m, key=lambda n: rank.get(n, len(rank))):
         moment_groups.append(ParamGroup(name + ".m", Tensor(opt.m[name]), trainable=False))
         moment_groups.append(ParamGroup(name + ".v", Tensor(opt.v[name]), trainable=False))
-    save_groups(path, moment_groups, extra={"optimizer": opt.state_dict()})
+    save_groups(path, moment_groups, extra={"optimizer": {"t": opt.t}})
 
 
-def load_optimizer(path, groups: list[ParamGroup]) -> AdamW:
-    opt = AdamW(groups)
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
-    # the moments fill m and v once params.bin is read
-    moment_groups, _ = load_groups(path, lambda extra: opt.load_state(extra["optimizer"], m, v))
+def load_optimizer(path, groups: list[ParamGroup], lr: float) -> AdamW:
+    """The optimizer over ``groups`` saved in directory ``path``, at ``lr``;
+    a moment smaller than its group grows at the group's next step."""
+    sizes = {g.name: g.tensor.shape for g in groups}
+
+    def counts(extra: dict, shapes: dict) -> dict[str, int]:
+        if "t" not in extra.get("optimizer", {}):
+            raise StateError("its header holds no optimizer t")
+        t = {name: int(n) for name, n in extra["optimizer"]["t"].items()}
+        if set(shapes) != {f"{name}.{kind}" for name in t for kind in "mv"}:
+            raise StateError("its moments are not one .m and one .v per group of its t")
+        for moment, shape in shapes.items():
+            size = sizes.get(moment[:-2])
+            if size is None:
+                raise StateError(f"it holds {moment}, but the model has no {moment[:-2]}")
+            if len(shape) != len(size) or any(a > b for a, b in zip(shape, size)):
+                raise StateError(f"{moment} of shape {list(shape)} outgrows its group's {list(size)}")
+        return t
+
+    moment_groups, t = load_groups(path, counts)
+    opt = AdamW(groups, lr, t=t)
     for g in moment_groups:
-        if g.name.endswith(".m"):
-            m[g.name[:-2]] = g.tensor.data
-        elif g.name.endswith(".v"):
-            v[g.name[:-2]] = g.tensor.data
+        store = opt.m if g.name.endswith(".m") else opt.v
+        store[g.name[:-2]] = g.tensor.data
     return opt

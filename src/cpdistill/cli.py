@@ -32,6 +32,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .checkpoint import read_record
 from .config import ProtocolConfig, load_config
 from .continual import open_stage, run_protocol
 from .report import render_report, summary_table
@@ -89,7 +90,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     report_dir = render_report(args.out)
-    print((report_dir / "summary.tsv").read_text(), end="")
+    print(read_record(report_dir / "summary.tsv", str), end="")
     print(f"report written to {report_dir}")
     return 0
 

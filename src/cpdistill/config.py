@@ -15,7 +15,7 @@ Top-level keys
     batch_size / lr     optimizer settings (AdamW, without weight decay)
     max_steps           optional cap on optimizer steps per stage
     replay_m            trajectories selected per task per stage
-    replay_strategy     dpp | ffs | random
+    replay_strategy     dpp | random
     budget_fraction     replay buffer cap as a fraction of distill data seen
     teacher_noise       optional Gaussian action-noise std for teachers
     infonce_weight      contrastive objective loss weight

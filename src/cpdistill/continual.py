@@ -613,7 +613,7 @@ class ProtocolRunner:
     def _write_stage(self, k: int) -> None:
         d = self._stage_dir(k)
         d.mkdir(parents=True, exist_ok=True)
-        self.model.save(d / "model", stage=k)
+        self.model.save(d / "model")
         save_optimizer(d / "optimizer", self.optimizer)
         write_trajectories(d / "buffer.jsonl", self.buffer.all_trajectories())
         self.matrix.save(d / "metrics.tsv")
@@ -674,7 +674,7 @@ class ProtocolRunner:
             raise StateError(f"{d} scores tasks other than this config's stream")
         self.matrix = matrix
         model, _ = StudentModel.load(d / "model")
-        self._adopt(model, load_optimizer(d / "optimizer", model.groups()))
+        self._adopt(model, load_optimizer(d / "optimizer", model.groups(), self.config.lr))
         ids, vecs = load_contexts(d / "contexts.tsv")
         self.provider.cache.update(zip(ids, vecs))
         self.buffer = ReplayBuffer(budget_fraction=self.config.budget_fraction)

@@ -446,32 +446,44 @@ class StudentModel:
             "new_expert_start": list(self.new_expert_start),
         }
 
-    def save(self, path, stage: int = 0) -> None:
-        save_groups(path, self.groups(), extra={**self._layout(), "stage": stage})
+    def save(self, path) -> None:
+        save_groups(path, self.groups(), extra=self._layout())
 
     @classmethod
     def load(cls, path) -> tuple["StudentModel", dict]:
-        groups, header = load_groups(path)
-        return cls._restore(header, {g.name: g for g in groups}, f"checkpoint {path}"), header
+        """The student saved in directory ``path``, and its layout. A header
+        that lacks a layout key, or a layout that does not match the stored
+        groups, raises `StateError` naming the checkpoint's manifest.json."""
+        groups, model = load_groups(path, cls._skeleton)
+        model._fill({g.name: g for g in groups})
+        return model, model._layout()
 
     def clone(self) -> "StudentModel":
-        return self._restore(self._layout(), self.params, "the model")
+        twin = self._skeleton(self._layout(), {n: g.tensor.shape for n, g in self.params.items()})
+        twin._fill(self.params)
+        return twin
 
     @classmethod
-    def _restore(cls, layout: dict, groups: dict[str, ParamGroup], source: str) -> "StudentModel":
-        """A model of ``layout`` holding copies of the values and the
-        trainability of ``groups``, which must name exactly its groups."""
+    def _skeleton(cls, layout: dict, shapes: dict) -> "StudentModel":
+        """A model of ``layout`` whose groups must have exactly the names
+        and shapes in ``shapes``; its values are `_fill`'s to set."""
+        missing = {"config", "expert_counts", "new_expert_start"} - set(layout)
+        if missing:
+            raise StateError(f"the layout lacks {sorted(missing)}")
         unknown = set(layout["config"]) - {f.name for f in fields(ModelConfig)}
         if unknown:
-            raise StateError(f"{source} has unknown model config keys: {sorted(unknown)}")
+            raise StateError(f"the layout has unknown model config keys: {sorted(unknown)}")
         model = cls(ModelConfig(**layout["config"]), seed=0, expert_counts=layout["expert_counts"])
         model.new_expert_start = list(layout["new_expert_start"])
-        if set(groups) != set(model.params):
-            raise StateError(f"{source} group names do not match the model layout")
-        for name, group in model.params.items():
+        if shapes != {n: g.tensor.shape for n, g in model.params.items()}:
+            raise StateError("the groups do not match the model layout")
+        return model
+
+    def _fill(self, groups: dict[str, ParamGroup]) -> None:
+        """Copy the values and the trainability of ``groups``."""
+        for name, group in self.params.items():
             group.tensor.data = groups[name].tensor.data.copy()
             group.set_trainable(groups[name].trainable)
-        return model
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Parameter groups and AdamW with freeze masks."""
+"""Parameter groups, and Adam over them (Kingma & Ba, arXiv:1412.6980) with
+BETAS (0.9, 0.999), EPS 1e-8 and no weight decay: AdamW (Loshchilov &
+Hutter, arXiv:1711.05101) at decay 0. Its state is the learning rate, a
+run's config value, and per group the moments m and v and step count t."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -8,7 +11,10 @@ import numpy as np
 from .errors import DimensionError
 from .tensor import Tensor
 
-__all__ = ["ParamGroup", "AdamW"]
+__all__ = ["ParamGroup", "AdamW", "BETAS", "EPS"]
+
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 @dataclass
@@ -34,22 +40,15 @@ class ParamGroup:
 
 @dataclass
 class AdamW:
-    """Decoupled-weight-decay Adam over ParamGroups.
-
-    Frozen groups are skipped entirely (no decay, no moment update), so their
-    values stay bit-identical. Moments for groups first seen mid-run start at
-    zero, and a group whose shape grew (gate expansion) has its moments
-    corner-embedded into the new shape with zeros in the new slots.
-    bias-correction counts are per group so late-added groups warm up like
-    fresh Adam; ``step_count`` is the global monotone counter.
-    """
+    """Adam over ParamGroups. Frozen groups are skipped (no moment update),
+    so their values stay bit-identical. Moments for groups first seen
+    mid-run start at zero, and a group whose shape grew (gate expansion) has
+    its moments corner-embedded into the new shape with zeros in the new
+    slots. Step counts are per group, so late-added groups warm up like
+    fresh Adam."""
 
     groups: list[ParamGroup]
-    lr: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step_count: int = 0
+    lr: float
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: dict[str, int] = field(default_factory=dict)
@@ -66,17 +65,18 @@ class AdamW:
             self.m[name] = np.zeros(shape, dtype=dtype)
             self.v[name] = np.zeros(shape, dtype=dtype)
             self.t[name] = 0
-        elif self.m[name].shape != shape:
-            for store in (self.m, self.v):
+            return
+        for store in (self.m, self.v):
+            old = store[name]
+            if old.shape != shape:
                 grown = np.zeros(shape, dtype=dtype)
-                old = store[name]
                 grown[tuple(slice(0, n) for n in old.shape)] = old
                 store[name] = grown
 
     def step(self) -> None:
         """Apply one update from each trainable group tensor's accumulated
         ``.grad``; a group with no gradient is skipped."""
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         for g in self.groups:
             if not g.trainable:
                 continue
@@ -100,28 +100,4 @@ class AdamW:
             v += (1.0 - b2) * grad * grad
             mhat = m / (1.0 - b1**tg)
             vhat = v / (1.0 - b2**tg)
-            delta = self.lr * (mhat / (np.sqrt(vhat) + self.eps))
-            if self.weight_decay:
-                delta += self.lr * self.weight_decay * p
-            p -= delta
-        self.step_count += 1
-
-    def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "betas": list(self.betas),
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "step_count": self.step_count,
-            "t": dict(self.t),
-        }
-
-    def load_state(self, state: dict, m: dict[str, np.ndarray], v: dict[str, np.ndarray]) -> None:
-        self.lr = float(state["lr"])
-        self.betas = tuple(state["betas"])  # type: ignore[assignment]
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
-        self.step_count = int(state["step_count"])
-        self.t = {k: int(x) for k, x in state["t"].items()}
-        self.m = m
-        self.v = v
+            p -= self.lr * (mhat / (np.sqrt(vhat) + EPS))

@@ -5,7 +5,7 @@ consecutive slices of a fixed SLICE_LEN = 20 steps, not the window the
 student reads, so the window changes no selection. Features are centered
 and scaled to unit average norm, and the Gram matrix L = V V^T feeds the
 selector. Selection strategies: greedy MAP for a determinantal point
-process (log-det gain), farthest-first, and seeded random. Each selection
+process (log-det gain), and seeded random as its ablation. Each selection
 is recorded as a `SelectionAudit`; `write_audits` and `read_audits` keep a
 run's audits in a stage's ``audits.tsv``. A malformed pool raises
 InputError; an unsatisfiable request or a buffer over its budget raises
@@ -35,7 +35,7 @@ __all__ = [
     "update_buffer",
 ]
 
-STRATEGIES = ("dpp", "ffs", "random")
+STRATEGIES = ("dpp", "random")
 SLICE_LEN = 20
 
 
@@ -119,18 +119,6 @@ def _greedy_dpp(L: np.ndarray, m: int, eps: float = 1e-12) -> list[int]:
     return chosen
 
 
-def _ffs(features: np.ndarray, m: int) -> list[int]:
-    norms = np.linalg.norm(features, axis=1)
-    chosen = [int(np.argmax(norms))]
-    dists = np.linalg.norm(features - features[chosen[0]], axis=1)
-    while len(chosen) < m:
-        dists[chosen] = -np.inf
-        nxt = int(np.argmax(dists))
-        chosen.append(nxt)
-        dists = np.minimum(dists, np.linalg.norm(features - features[nxt], axis=1))
-    return chosen
-
-
 def select(
     features: np.ndarray,
     m: int,
@@ -145,8 +133,6 @@ def select(
     if strategy == "random":
         rng = seeds.rng(seed)
         return [int(i) for i in rng.choice(n, size=m, replace=False)]
-    if strategy == "ffs":
-        return _ffs(features, m)
     if strategy == "dpp":
         return _greedy_dpp(build_kernel(features), m)
     raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")

@@ -42,8 +42,8 @@ def _strategy(text: str) -> str | None:
     return strategy
 
 
-def render_report(run_dir, report_dir=None) -> Path:
-    """Render a report directory from a finished (or partial) run. Raises
+def render_report(run_dir) -> Path:
+    """Render ``run_dir/report`` from a finished (or partial) run. Raises
     `StateError`, writing nothing, when the run has neither a complete stage
     nor a `metrics.tsv`, or a record it reads is damaged: ``config.json``
     holds no JSON object or an unknown strategy, or the stage's
@@ -60,7 +60,7 @@ def render_report(run_dir, report_dir=None) -> Path:
     summary = _summary_rows(MetricsMatrix.load(metrics), strategy)
     ids, vecs = load_contexts(last / "contexts.tsv") if last else ([], None)
 
-    report_dir = Path(report_dir) if report_dir else run_dir / "report"
+    report_dir = run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     if has_config:
         shutil.copyfile(config_path, report_dir / "config.json")

@@ -48,6 +48,13 @@ made ``weight_decay``, ``infonce_tau``, ``infonce_trajs``, ``ewc_batches``
 and the ``expansion`` section constants, the same two files differ by the
 five lines that hold those keys, which the change no longer writes, and by
 the comma after ``"teacher_noise": 0.0``, which ``weight_decay`` followed.
+Across the change that made AdamW's betas and eps constants and dropped
+its weight decay and step count, each ``stage_k/model/manifest.json``
+differs by its ``"stage": k`` line and the comma before it, and each
+``stage_k/optimizer/manifest.json`` header keeps only ``t``: the lines of
+``betas``, ``eps``, ``lr``, ``step_count`` and ``weight_decay`` go, with
+the comma after the ``t`` object. Every ``params.bin``, every other file
+and ``commands.txt`` are compared as usual.
 
 One matrix took 90 s on an idle 2-core machine with one BLAS thread.
 pytest does not collect this file.

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the program against.
 
 None of these run in a protocol: finite-difference gradients, the
-exhaustive DPP MAP, and the small helpers the tests build on them.
+exhaustive DPP MAP, the small helpers the tests build on them, and the
+damaged checkpoint headers that the checkpoint readers must refuse.
 """
 from __future__ import annotations
 
@@ -124,3 +125,29 @@ def encode_trajectory(encoder, traj, n_chunks: int = 8) -> np.ndarray:
 def tree_bytes(d) -> dict:
     """Every file under ``d``, by its path relative to ``d``, to its bytes."""
     return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+def _rename_first_moments(manifest: dict) -> None:
+    t = manifest["extra"]["optimizer"]["t"]
+    t["nope"] = t.pop(manifest["groups"][0]["name"][:-2])
+    for entry in manifest["groups"][:2]:
+        entry["name"] = "nope" + entry["name"][-2:]
+
+
+def _widen_first_moment(manifest: dict) -> None:
+    manifest["groups"][0]["shape"][-1] += 1
+
+
+# (checkpoint, edit of its parsed manifest.json, label): each header the
+# reader of a saved model/ or optimizer/ manifest.json refuses. An optimizer
+# stores each group's moments as <group>.m and <group>.v, in group order.
+DAMAGED_HEADERS = [
+    *(("model", lambda m, key=key: m["extra"].pop(key), f"no {key}")
+      for key in ("config", "expert_counts", "new_expert_start")),
+    ("optimizer", lambda m: m["extra"]["optimizer"].pop("t"), "no t"),
+    ("optimizer", lambda m: m["extra"]["optimizer"]["t"].update(nope=1), "t names differ"),
+    ("optimizer", lambda m: m["groups"].pop(1), ".m without .v"),
+    ("optimizer", lambda m: m["groups"].pop(0), ".v without .m"),
+    ("optimizer", _rename_first_moments, "moment of an unknown group"),
+    ("optimizer", _widen_first_moment, "moment larger than its group"),
+]

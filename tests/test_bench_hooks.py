@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpdistill import continual, model, teachers, tensor
+from cpdistill import continual, model, optim, teachers, tensor
 from cpdistill.config import ProtocolConfig
 from cpdistill.teachers import Trajectory, make_task_stream
 
@@ -70,6 +70,7 @@ def test_call_forms_used_by_the_benchmark():
     assert checks.TeacherPolicy is teachers.TeacherPolicy
     assert refbatch.distill_loss is continual.distill_loss
     assert refbatch.moe_route is model.moe_route
+    assert refbatch.AdamW is optim.AdamW
     runner = object()
     batch = SimpleNamespace(length=2, windows=np.zeros((1, 2, 4)))
     assert binds(continual.ProtocolRunner._train_step, runner, batch, None, False, None, None, None)
@@ -85,6 +86,15 @@ def test_call_forms_used_by_the_benchmark():
     assert binds(model.StudentModel.block_forward, "self", "h", 0)
     assert binds(model.StudentModel.predict_batch, "self", "windows", "z")
     assert binds(tensor.layer_norm, "x", "gain", "bias")
+    # refbatch steps its own optimizer over the student's groups
+    group = optim.ParamGroup("w", tensor.Tensor(np.ones(2)))
+    optimizer = optim.AdamW([group], lr=1e-4)
+    group.tensor.grad = np.ones(2)
+    optimizer.zero_grad()
+    assert group.tensor.grad is None
+    group.tensor.grad = np.ones(2)
+    optimizer.step()
+    assert np.all(group.tensor.data < 1.0)
 
 
 def test_config_and_checkpoint_reads_of_the_benchmark(tmp_path):
@@ -101,7 +111,7 @@ def test_config_and_checkpoint_reads_of_the_benchmark(tmp_path):
     assert (cfg.n_stages, cfg.eval_episodes, cfg.strategy) == (2, 3, "ours")
     student = model.StudentModel(cfg.model_config(), seed=3)
     model.expand_experts(student, cfg.expansion_config(), seed=1)
-    student.save(tmp_path / "model", stage=2)
+    student.save(tmp_path / "model")
     manifest, _ = checks.read_checkpoint(tmp_path / "model")
     counts = manifest["extra"]["expert_counts"]
     assert counts == [model_cfg.experts_per_layer + added] * model_cfg.depth

@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from cpdistill.checkpoint import (
     load_groups, load_optimizer, read_record, save_groups, save_optimizer, table, write_table,
 )
 from cpdistill.errors import StateError
+from cpdistill.model import ExpansionConfig, ModelConfig, StudentModel, expand_experts
 from cpdistill.optim import AdamW, ParamGroup
-from oracles import step_with
+from oracles import DAMAGED_HEADERS, step_with
 
 
 def random_groups(rng):
@@ -46,26 +48,84 @@ def test_round_trip_bit_exact(tmp_path):
 def test_optimizer_round_trip(tmp_path):
     rng = np.random.default_rng(22)
     g = ParamGroup("p", T.Tensor(rng.normal(size=(4, 4))))
-    opt = AdamW([g], lr=3e-4, weight_decay=0.02)
+    opt = AdamW([g], lr=3e-4)
     for _ in range(5):
         step_with(opt, {"p": rng.normal(size=(4, 4))})
     save_optimizer(tmp_path / "opt", opt)
-    restored = load_optimizer(tmp_path / "opt", [g])
-    assert restored.step_count == opt.step_count
+    manifest = json.loads((tmp_path / "opt" / "manifest.json").read_text())
+    assert manifest["extra"] == {"optimizer": {"t": {"p": 5}}}  # the lr is the config's
+    restored = load_optimizer(tmp_path / "opt", [g], 3e-4)
     assert restored.lr == opt.lr
-    assert restored.weight_decay == opt.weight_decay
     assert restored.t == opt.t
-    assert np.array_equal(restored.m["p"], opt.m["p"])
-    assert np.array_equal(restored.v["p"], opt.v["p"])
+    assert restored.m["p"].tobytes() == opt.m["p"].tobytes()
+    assert restored.v["p"].tobytes() == opt.v["p"].tobytes()
+
+    # moments smaller than their group load, and grow at its next step
+    grown = ParamGroup("p", T.Tensor(np.ones((4, 5))))
+    restored = load_optimizer(tmp_path / "opt", [grown], 3e-4)
+    step_with(restored, {"p": np.zeros((4, 5))})
+    assert restored.m["p"].shape == restored.v["p"].shape == (4, 5)
+    assert np.array_equal(restored.m["p"][:, :4], opt.m["p"] * 0.9)
+    assert not restored.m["p"][:, 4].any()
 
 
-def test_bad_format_rejected(tmp_path):
-    d = tmp_path / "ck"
-    d.mkdir()
-    (d / "manifest.json").write_text(json.dumps({"format": "other"}))
-    (d / "params.bin").write_bytes(b"")
-    with pytest.raises(ValueError):
-        load_groups(d)
+def _student_and_optimizer(path, rng):
+    """A tiny student with added experts and its optimizer, saved in
+    ``path`` after three steps on every group."""
+    student = StudentModel(
+        ModelConfig(obs_dim=4, action_dim=2, hidden_dim=8, depth=1, experts_per_layer=2,
+                    n_heads=2, mlp_multiplier=2, encoder_hidden=4, task_embed_dim=4, seq_len=3),
+        seed=1)
+    expand_experts(student, ExpansionConfig(), seed=2)
+    opt = AdamW(student.groups(), lr=3e-4)
+    for _ in range(3):
+        step_with(opt, {g.name: rng.normal(size=g.tensor.shape) for g in opt.groups})
+    student.save(path / "model")
+    save_optimizer(path / "optimizer", opt)
+    return student, opt
+
+
+def _edit_header(path, edit) -> None:
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_headers_of_the_previous_format_load(tmp_path):
+    # the previous format also wrote the model's stage, and the optimizer's
+    # lr, betas, eps, step count and weight decay
+    student, opt = _student_and_optimizer(tmp_path / "new", np.random.default_rng(23))
+    shutil.copytree(tmp_path / "new", tmp_path / "old")
+    _edit_header(tmp_path / "old" / "model", lambda m: m["extra"].update(stage=2))
+    _edit_header(tmp_path / "old" / "optimizer", lambda m: m["extra"]["optimizer"].update(
+        lr=3e-4, betas=[0.9, 0.999], eps=1e-8, step_count=7, weight_decay=0.0))
+    states = []
+    for run in ("new", "old"):
+        model, _ = StudentModel.load(tmp_path / run / "model")
+        restored = load_optimizer(tmp_path / run / "optimizer", model.groups(), 3e-4)
+        states.append((
+            model._layout(),
+            {n: (g.tensor.data.tobytes(), g.trainable) for n, g in model.params.items()},
+            restored.lr,
+            restored.t,
+            {n: (restored.m[n].tobytes(), restored.v[n].tobytes()) for n in restored.m},
+        ))
+    assert states[0] == states[1]
+    assert states[0][0] == student._layout() and states[0][3] == opt.t
+
+
+# a damaged header is refused by the reader of its manifest.json, before
+# any step
+@pytest.mark.parametrize("record,edit", [
+    pytest.param("model", lambda m: m.update(format="other"), id="format"),
+    *(pytest.param(checkpoint, edit, id=label) for checkpoint, edit, label in DAMAGED_HEADERS),
+])
+def test_bad_format_rejected(tmp_path, record, edit):
+    _student_and_optimizer(tmp_path, np.random.default_rng(24))
+    _edit_header(tmp_path / record, edit)
+    with pytest.raises(StateError, match=re.escape(f"{tmp_path / record / 'manifest.json'} ")):
+        model, _ = StudentModel.load(tmp_path / "model")
+        load_optimizer(tmp_path / "optimizer", model.groups(), 3e-4)
 
 
 def test_table_cells_keep_every_bit(tmp_path):
@@ -92,10 +152,10 @@ def test_a_failed_parse_names_the_file(tmp_path):
 
 
 # A run record is read and written by `cpdistill.checkpoint` alone, so that a
-# new record cannot bring its own parser. `cpdistill report` echoes the
-# summary.tsv it has just written; shutil.copyfile copies without parsing.
+# new record cannot bring its own parser. shutil.copyfile copies without
+# parsing.
 FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
-EXEMPT = {("cli.py", "read_text")}
+EXEMPT = set()
 
 
 def test_only_checkpoint_reads_or_writes_files():

@@ -12,7 +12,7 @@ from cpdistill.continual import ProtocolRunner
 from cpdistill.metrics import MetricsMatrix
 from cpdistill.report import render_report, summary_table
 from cpdistill.taskctx import load_contexts
-from oracles import tree_bytes
+from oracles import DAMAGED_HEADERS, tree_bytes
 
 
 def tiny_cli_config() -> ProtocolConfig:
@@ -362,6 +362,15 @@ def _set_strategy(text):
     return json.dumps({**json.loads(text), "strategy": "nope"})
 
 
+def _header(edit):
+    """A checkpoint manifest text edited in place by ``edit``."""
+    def damage(text):
+        manifest = json.loads(text)
+        edit(manifest)
+        return json.dumps(manifest)
+    return damage
+
+
 # a damaged record of stage 1, read by `eval --stage 1` and by `distill`
 # into the ewc run cut back to stage 1
 _STAGE_1 = [
@@ -371,6 +380,8 @@ _STAGE_1 = [
     ("buffer.jsonl", '{"task_id": "a"}\n', "no seed"),
     ("model/manifest.json", "[]", "[]"),
     ("optimizer/manifest.json", _drop("extra"), "no extra"),
+    *((f"{checkpoint}/manifest.json", _header(edit), label)
+      for checkpoint, edit, label in DAMAGED_HEADERS),
     ("fisher/manifest.json", "{", "{"),
     ("model/params.bin", "", "empty"),
 ]

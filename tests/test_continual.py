@@ -350,7 +350,9 @@ def test_replay_selection_reads_no_window(tmp_path):
 def test_config_rejects_unknown_replay_strategy():
     with pytest.raises(ValueError, match="replay_strategy"):
         ProtocolConfig(replay_strategy="dppp")
-    assert ProtocolConfig(replay_strategy="ffs").replay_strategy == "ffs"
+    # farthest-first selection was removed
+    with pytest.raises(ConfigError, match="replay_strategy 'ffs'"):
+        ProtocolConfig(replay_strategy="ffs")
 
 
 def test_epochs_zero_debug_mode():
@@ -395,7 +397,6 @@ def test_phase_masks_hold_during_training():
         n for n in runner.model.params if ".experts.0." in n or ".experts.1." in n
     ]
 
-    # instrument epoch boundaries via the optimizer step counter
     stage2 = runner.stage_config(2)
     specs = runner.stream[1]
 

@@ -366,7 +366,7 @@ def test_float32_survives_expansion_load_and_clone(tmp_path):
     cfg = tiny_config(depth=2, dtype="float32")
     model = StudentModel(cfg, seed=71)
     expand_experts(model, ExpansionConfig(), seed=2)
-    model.save(tmp_path / "m", stage=2)
+    model.save(tmp_path / "m")
     restored, _ = StudentModel.load(tmp_path / "m")
     windows, z = probe(cfg, batch=4, seed=9)
     for m in (model, restored, model.clone()):
@@ -381,9 +381,9 @@ def test_save_load_clone_round_trip(tmp_path):
     model = StudentModel(cfg, seed=43)
     expand_experts(model, ExpansionConfig(), seed=3)
     apply_mask_schedule(model, phase=1)
-    model.save(tmp_path / "m", stage=2)
+    model.save(tmp_path / "m")
     restored, header = StudentModel.load(tmp_path / "m")
-    assert header["stage"] == 2
+    assert set(header) == {"config", "expert_counts", "new_expert_start"}
     assert restored.expert_counts == model.expert_counts
     windows, z = probe(cfg, batch=4, seed=12)
     assert np.array_equal(model.predict_batch(windows, z), restored.predict_batch(windows, z))

@@ -82,7 +82,7 @@ def test_dpp_picks_largest_orthogonal_norms():
 
 def test_select_m_equals_n_and_errors():
     feats = np.random.default_rng(1).normal(size=(4, 3))
-    for strategy in ("dpp", "ffs", "random"):
+    for strategy in ("dpp", "random"):
         assert sorted(select(feats, 4, strategy=strategy)) == [0, 1, 2, 3]
     assert sorted(exact_dpp(build_kernel(feats), 4)) == [0, 1, 2, 3]
     with pytest.raises(ConfigError):
@@ -104,7 +104,7 @@ def test_dpp_avoids_exact_duplicates():
 def test_selection_deterministic_per_seed():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(9, 5))
-    for strategy in ("dpp", "ffs", "random"):
+    for strategy in ("dpp", "random"):
         a = select(feats, 3, strategy=strategy, seed=17)
         b = select(feats, 3, strategy=strategy, seed=17)
         assert a == b
@@ -113,13 +113,8 @@ def test_selection_deterministic_per_seed():
     )
 
 
-def test_ffs_seeds_from_max_norm():
-    feats = np.array([[0.1, 0.0], [5.0, 0.0], [0.0, 1.0]])
-    assert select(feats, 2, strategy="ffs")[0] == 1
-
-
 def test_dpp_dominates_baselines_on_random_pools():
-    wins_ffs = wins_rand = 0
+    wins_rand = 0
     trials = 200
     for trial in range(trials):
         rng = np.random.default_rng(1000 + trial)
@@ -130,12 +125,9 @@ def test_dpp_dominates_baselines_on_random_pools():
         check_kernel(gram)
         d_exact = subset_log_det(gram, exact_dpp(gram, m))
         d_greedy = subset_log_det(gram, select(feats, m, strategy="dpp"))
-        d_ffs = subset_log_det(gram, select(feats, m, strategy="ffs"))
         d_rand = subset_log_det(gram, select(feats, m, strategy="random", seed=trial))
         assert d_exact >= d_greedy - 1e-9
-        wins_ffs += d_greedy >= d_ffs - 1e-9
         wins_rand += d_greedy >= d_rand - 1e-9
-    assert wins_ffs >= 0.9 * trials
     assert wins_rand >= 0.9 * trials
 
 
