@@ -28,8 +28,10 @@ Checkpoint headers, parsed inside the reader of ``manifest.json``
 ``expert_counts``, ``new_expert_start``), ``optimizer/``'s only
 ``{"optimizer": {"t": ...}}``, each moment group's step count (the learning
 rate is ``config.json``'s), and ``fisher/``'s nothing. A header that lacks a
-key or does not match its groups raises `StateError` naming the file; one
-with more keys, such as an older model ``stage`` or optimizer ``lr``, loads.
+key or does not match its groups raises `StateError` naming the file, as
+does a model group not of the layout's dtype or a moment not of its
+group's; a header with more keys, such as an older model ``stage`` or
+optimizer ``lr``, loads.
 
 `read_record` is the one reader: it applies the caller's parse to a file's
 text, or to its bytes, and turns any failure of the parse into a
@@ -175,7 +177,7 @@ def _manifest(text: str, parse_extra) -> tuple[list, object]:
         (e["name"], np.dtype(e["dtype"]), tuple(e["shape"]), e["trainable"], e["offset"])
         for e in manifest["groups"]
     ]
-    return entries, parse_extra(manifest["extra"], {e[0]: e[2] for e in entries})
+    return entries, parse_extra(manifest["extra"], {e[0]: (e[2], e[1]) for e in entries})
 
 
 def _params(blob: bytes, entries: list) -> list[ParamGroup]:
@@ -188,11 +190,12 @@ def _params(blob: bytes, entries: list) -> list[ParamGroup]:
     return groups
 
 
-def load_groups(path, parse_extra=lambda extra, shapes: extra) -> tuple[list[ParamGroup], object]:
+def load_groups(path, parse_extra=lambda extra, stored: extra) -> tuple[list[ParamGroup], object]:
     """The groups of the checkpoint in directory ``path`` and its extra
-    header, as ``parse_extra(extra, shapes)`` makes it inside the reader of
-    ``manifest.json``. ``shapes`` maps each stored group's name to its
-    shape, so that the parse can check the header against the groups."""
+    header, as ``parse_extra(extra, stored)`` makes it inside the reader of
+    ``manifest.json``. ``stored`` maps each stored group's name to its
+    (shape, dtype), so that the parse can check the header against the
+    groups."""
     path = Path(path)
     entries, extra = read_record(path / "manifest.json", lambda t: _manifest(t, parse_extra))
     groups = read_record(path / "params.bin", lambda b: _params(b, entries), binary=True)
@@ -214,20 +217,22 @@ def save_optimizer(path, opt: AdamW) -> None:
 def load_optimizer(path, groups: list[ParamGroup], lr: float) -> AdamW:
     """The optimizer over ``groups`` saved in directory ``path``, at ``lr``;
     a moment smaller than its group grows at the group's next step."""
-    sizes = {g.name: g.tensor.shape for g in groups}
+    specs = {g.name: (g.tensor.shape, g.tensor.dtype) for g in groups}
 
-    def counts(extra: dict, shapes: dict) -> dict[str, int]:
+    def counts(extra: dict, stored: dict) -> dict[str, int]:
         if "t" not in extra.get("optimizer", {}):
             raise StateError("its header holds no optimizer t")
         t = {name: int(n) for name, n in extra["optimizer"]["t"].items()}
-        if set(shapes) != {f"{name}.{kind}" for name in t for kind in "mv"}:
+        if set(stored) != {f"{name}.{kind}" for name in t for kind in "mv"}:
             raise StateError("its moments are not one .m and one .v per group of its t")
-        for moment, shape in shapes.items():
-            size = sizes.get(moment[:-2])
-            if size is None:
+        for moment, (shape, dtype) in stored.items():
+            if moment[:-2] not in specs:
                 raise StateError(f"it holds {moment}, but the model has no {moment[:-2]}")
+            size, kind = specs[moment[:-2]]
             if len(shape) != len(size) or any(a > b for a, b in zip(shape, size)):
                 raise StateError(f"{moment} of shape {list(shape)} outgrows its group's {list(size)}")
+            if dtype != kind:
+                raise StateError(f"{moment} is stored as {dtype.str}, its group as {kind.str}")
         return t
 
     moment_groups, t = load_groups(path, counts)

@@ -24,7 +24,8 @@ Top-level keys
     model               ModelConfig fields (hidden_dim, depth,
                         experts_per_layer, mlp_multiplier, top_k, seq_len,
                         task_embed_dim, n_heads, stats_chunks,
-                        encoder_hidden, dtype)
+                        encoder_hidden, dtype); dtype is float32 unless
+                        set to float64
 
 Fixed, not configured: the point-mass suite (`cpdistill.teachers`), the
 weight of the load-balancing loss (`cpdistill.continual.aux_lambda`), the

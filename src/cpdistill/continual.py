@@ -49,8 +49,10 @@ the run in ``out_dir`` after its newest complete stage; a missing or empty
 directory is a straight run, and a finished run is left as it is. It
 raises `StateError`, writing nothing, when ``config.json`` holds another
 config, and `load_stage` raises it when the newest stage was written with
-another seed; ``config.json`` is written, when absent, only after that
-stage has loaded. `open_stage` (``cpdistill eval``) restores stage k from the
+another seed or model config (a run written in float64 before float32
+became the default needs ``"dtype": "float64"`` in its config's model);
+``config.json`` is written, when absent, only after that stage has loaded.
+`open_stage` (``cpdistill eval``) restores stage k from the
 directory alone: the config from ``config.json``, the seed from
 ``stage_k/state.json``. ``cpdistill report`` picks its stage with
 `completed_stages`. Every record is read through one reader,
@@ -68,7 +70,7 @@ builds the EWC anchors from the saved ``fisher/`` and the KL snapshot, as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -648,10 +650,12 @@ class ProtocolRunner:
                 zs.append(z)
         loads = self.model.routing_loads(np.stack(windows), np.stack(zs))
         for l, layer_loads in enumerate(loads):
-            total = layer_loads.sum()
+            # counts held in the model's dtype; the fraction is of the ints
+            counts = [int(c) for c in layer_loads]
+            total = sum(counts)
             write_table(d / f"routing_layer{l}.tsv", [
                 ["expert", "load", "fraction"],
-                *([i, int(c), c / total if total else 0.0] for i, c in enumerate(layer_loads)),
+                *([i, c, c / total if total else 0.0] for i, c in enumerate(counts)),
             ])
 
     def load_stage(self, k: int) -> None:
@@ -659,7 +663,7 @@ class ProtocolRunner:
         student, optimizer, contexts, metrics matrix, replay buffer, global
         step, replay audits, and the EWC or KL state the next stage needs.
         Raises `StateError` when the stage is not complete or was written
-        by another strategy, seed or task stream."""
+        by another strategy, seed, task stream or model config."""
         if self.out_dir is None:
             raise StateError("the runner has no run directory to load a stage from")
         d = self._stage_dir(k)
@@ -674,6 +678,12 @@ class ProtocolRunner:
             raise StateError(f"{d} scores tasks other than this config's stream")
         self.matrix = matrix
         model, _ = StudentModel.load(d / "model")
+        stored, ours = asdict(model.config), asdict(self.model_cfg)
+        differ = [f"{key} {stored[key]!r}, not the run's {ours[key]!r}"
+                  for key in ours if stored[key] != ours[key]]
+        if differ:
+            raise StateError(f"{d / 'model' / 'manifest.json'} holds a student of another "
+                             f"model config: {', '.join(differ)}")
         self._adopt(model, load_optimizer(d / "optimizer", model.groups(), self.config.lr))
         ids, vecs = load_contexts(d / "contexts.tsv")
         self.provider.cache.update(zip(ids, vecs))

@@ -15,6 +15,8 @@ each group's trainability from its name. The layout is recorded once: the
 groups by name in `params` (the MoE layers hold the same objects), the
 expert counts read from `layers`, and each layer's first new expert in
 `new_expert_start`.
+Parameters and activations are float32 by default (`ModelConfig.dtype`);
+float64 stays selectable, and the gradient checks run in it.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ class ModelConfig:
     n_heads: int = 4
     stats_chunks: int = 8
     encoder_hidden: int = 64
-    dtype: str = "float64"
+    dtype: str = "float32"
 
     def __post_init__(self):
         for key in (
@@ -453,20 +455,23 @@ class StudentModel:
     def load(cls, path) -> tuple["StudentModel", dict]:
         """The student saved in directory ``path``, and its layout. A header
         that lacks a layout key, or a layout that does not match the stored
-        groups, raises `StateError` naming the checkpoint's manifest.json."""
+        groups' names, shapes or dtype, raises `StateError` naming the
+        checkpoint's manifest.json."""
         groups, model = load_groups(path, cls._skeleton)
         model._fill({g.name: g for g in groups})
         return model, model._layout()
 
     def clone(self) -> "StudentModel":
-        twin = self._skeleton(self._layout(), {n: g.tensor.shape for n, g in self.params.items()})
+        stored = {n: (g.tensor.shape, g.tensor.dtype) for n, g in self.params.items()}
+        twin = self._skeleton(self._layout(), stored)
         twin._fill(self.params)
         return twin
 
     @classmethod
-    def _skeleton(cls, layout: dict, shapes: dict) -> "StudentModel":
-        """A model of ``layout`` whose groups must have exactly the names
-        and shapes in ``shapes``; its values are `_fill`'s to set."""
+    def _skeleton(cls, layout: dict, stored: dict) -> "StudentModel":
+        """A model of ``layout`` whose groups must have exactly the names,
+        shapes and dtype in ``stored`` (name -> (shape, dtype)); its values
+        are `_fill`'s to set."""
         missing = {"config", "expert_counts", "new_expert_start"} - set(layout)
         if missing:
             raise StateError(f"the layout lacks {sorted(missing)}")
@@ -475,8 +480,13 @@ class StudentModel:
             raise StateError(f"the layout has unknown model config keys: {sorted(unknown)}")
         model = cls(ModelConfig(**layout["config"]), seed=0, expert_counts=layout["expert_counts"])
         model.new_expert_start = list(layout["new_expert_start"])
-        if shapes != {n: g.tensor.shape for n, g in model.params.items()}:
+        shapes = {n: g.tensor.shape for n, g in model.params.items()}
+        if {n: shape for n, (shape, _) in stored.items()} != shapes:
             raise StateError("the groups do not match the model layout")
+        for name, (_, dtype) in stored.items():
+            if dtype != model.config.np_dtype:
+                raise StateError(f"group {name} is stored as {dtype.str}, "
+                                 f"not the layout's {model.config.dtype}")
         return model
 
     def _fill(self, groups: dict[str, ParamGroup]) -> None:

@@ -51,7 +51,8 @@ def traj_stats(traj, n_chunks: int) -> np.ndarray:
 
 
 class TaskEncoder:
-    """Two-layer feed-forward encoder producing unit-norm embeddings."""
+    """Two-layer feed-forward encoder producing unit-norm embeddings, in the
+    student's ``dtype``."""
 
     def __init__(
         self,
@@ -60,7 +61,7 @@ class TaskEncoder:
         embed_dim: int,
         *,
         rng: np.random.Generator,
-        dtype=np.float64,
+        dtype,
     ):
         self.input_dim = input_dim
         self.embed_dim = embed_dim

@@ -4,10 +4,10 @@ The kernel set is deliberately closed: matmul, add, sub, elementwise
 mul/div, layer norm, softmax, GELU, row lookup/scatter (embedding + MoE
 dispatch), top-k selection, log, exp, sqrt, concatenate, slicing, and the
 reshape/transpose/sum plumbing needed to compose losses; `tmean` is the
-mean over every element and takes no axis. float64 is the default
-precision; float32 works but the tight gradient-check tolerances assume
-64-bit. `DimensionError` and `NumericError` are the `cpdistill.errors`
-classes.
+mean over every element and takes no axis. The student defaults to
+float32 (`cpdistill.model.ModelConfig`); the gradient checks against finite
+differences run in float64, whose tolerances float32 would not meet.
+`DimensionError` and `NumericError` are the `cpdistill.errors` classes.
 
 Numerically risky kernels (matmul, div, log, exp, sqrt, gelu, softmax,
 layer_norm) validate their outputs and raise NumericError naming the

@@ -55,6 +55,18 @@ differs by its ``"stage": k`` line and the comma before it, and each
 ``betas``, ``eps``, ``lr``, ``step_count`` and ``weight_decay`` go, with
 the comma after the ``t`` object. Every ``params.bin``, every other file
 and ``commands.txt`` are compared as usual.
+Across the change that made float32 the student's default dtype, every
+``params.bin`` holds the same groups in half the bytes, and every
+checkpoint ``manifest.json`` (``model/``, ``optimizer/``, ``fisher/``)
+differs in each group's ``dtype`` (``<f4``), ``offset`` and ``nbytes``
+(halved), and in the model header's ``"dtype": "float32"``. Each
+``contexts.tsv`` and each report's ``embeddings.tsv`` and
+``embedding_pca.tsv`` differ in the last digits of their floats. Rounding
+moves a few tokens to another expert in the ``stream-ours`` and
+``rollout-sweep`` runs, so a few of their ``routing_layer*.tsv`` files and
+one expert's step count ``t`` in ``stream-ours``'s optimizer headers
+differ too. ``config.json``, ``commands.txt``, every ``metrics.tsv`` and
+every other file are compared as usual.
 
 One matrix took 90 s on an idle 2-core machine with one BLAS thread.
 pytest does not collect this file.

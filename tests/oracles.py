@@ -138,6 +138,12 @@ def _widen_first_moment(manifest: dict) -> None:
     manifest["groups"][0]["shape"][-1] += 1
 
 
+def _other_dtype_first(manifest: dict) -> None:
+    """The first group stored in the other precision, at the same offset."""
+    entry = manifest["groups"][0]
+    entry["dtype"] = {"<f4": "<f8", "<f8": "<f4"}[entry["dtype"]]
+
+
 # (checkpoint, edit of its parsed manifest.json, label): each header the
 # reader of a saved model/ or optimizer/ manifest.json refuses. An optimizer
 # stores each group's moments as <group>.m and <group>.v, in group order.
@@ -150,4 +156,6 @@ DAMAGED_HEADERS = [
     ("optimizer", lambda m: m["groups"].pop(0), ".v without .m"),
     ("optimizer", _rename_first_moments, "moment of an unknown group"),
     ("optimizer", _widen_first_moment, "moment larger than its group"),
+    ("model", _other_dtype_first, "group of another dtype"),
+    ("optimizer", _other_dtype_first, "moment of another dtype"),
 ]

@@ -333,6 +333,38 @@ def test_distill_refuses_a_run_with_suite_or_lambda_schedule_keys(config_path, t
     assert (run_dir / "report" / "config.json").read_bytes() == before[Path("config.json")]
 
 
+def test_a_stage_of_another_model_config_is_refused(tmp_path, capsys):
+    # a float64 run written before float32 became the default: its
+    # config.json holds no dtype, so its config now builds a float32 student
+    cfg = tiny_cli_config()
+    save_config(tmp_path / "c.json", ProtocolConfig.from_dict(
+        {**cfg.to_dict(), "model": {**cfg.model, "dtype": "float64"}}))
+    run_dir = tmp_path / "run"
+    assert main(["distill", "--config", str(tmp_path / "c.json"), "--seed", "3",
+                 "--out", str(run_dir)]) == 0
+    written = (run_dir / "config.json").read_text()
+    saved = json.loads(written)
+    del saved["model"]["dtype"]
+    (run_dir / "config.json").write_text(json.dumps(saved, indent=1, sort_keys=True))
+    before = tree_bytes(run_dir)
+    for command, args in (
+        ("eval", ["--stage", "2"]),
+        ("distill", ["--config", str(run_dir / "config.json"), "--seed", "3"]),
+    ):
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"StateError: {run_dir / 'stage_2' / 'model' / 'manifest.json'} holds a student "
+                "of another model config: dtype 'float64', not the run's 'float32'"
+                ) in captured.err
+        assert tree_bytes(run_dir) == before
+
+    # the run's own dtype in its config.json makes it a run of this config again
+    (run_dir / "config.json").write_text(written)
+    assert main(["eval", "--stage", "2", "--out", str(run_dir)]) == 0
+
+
 def _finished(tmp_path_factory, strategy):
     root = tmp_path_factory.mktemp(f"finished_{strategy}")
     cfg = ProtocolConfig.from_dict({**tiny_cli_config().to_dict(), "strategy": strategy})

@@ -7,7 +7,7 @@ import pytest
 
 from cpdistill import continual, replay, teachers
 from cpdistill import tensor as T
-from cpdistill.config import STRATEGIES, ProtocolConfig, save_config
+from cpdistill.config import STRATEGIES, ProtocolConfig, desk_config, save_config
 from cpdistill.continual import (
     DistillDataset,
     EWCState,
@@ -18,6 +18,7 @@ from cpdistill.continual import (
     estimate_fisher,
     ewc_penalty,
     kl_penalty,
+    open_stage,
     run_protocol,
 )
 from cpdistill.errors import ConfigError, InputError, StateError
@@ -573,10 +574,34 @@ def test_resume_matches_straight_run(tmp_path, strategy):
             assert part[name] == blob, f"stage_{k}/{name}"
 
 
+def test_the_student_is_float32_by_default(tmp_path):
+    # tiny_protocol sets no dtype, so test_resume_matches_straight_run
+    # continues float32 runs too
+    assert "dtype" not in tiny_protocol().model and "dtype" not in desk_config().model
+    assert desk_config().model_config().dtype == "float32"
+    run_protocol(tiny_protocol(epochs_stage1=1, epochs_later=1), seed=10, out_dir=tmp_path)
+    for k in (1, 2):
+        for checkpoint in ("model", "optimizer"):
+            manifest = json.loads((tmp_path / f"stage_{k}" / checkpoint).joinpath(
+                "manifest.json").read_text())
+            assert {e["dtype"] for e in manifest["groups"]} == {"<f4"}, f"stage_{k}/{checkpoint}"
+    model = open_stage(tmp_path, 2).model
+    windows, ctx, _ = batch_for(model)
+    assert model.predict_batch(windows, ctx).dtype == np.float32
+    # the routing dump's fractions are of the counts, not of float32 loads
+    rows = [line.split("\t") for line in
+            (tmp_path / "stage_2" / "routing_layer0.tsv").read_text().splitlines()[1:]]
+    total = sum(int(load) for _, load, _ in rows)
+    assert [float(f) for _, _, f in rows] == [int(load) / total for _, load, _ in rows]
+
+
 def test_kl_step_runs_the_student_once(monkeypatch):
     from types import SimpleNamespace
 
-    runner = ProtocolRunner(tiny_protocol(strategy="kl"), seed=12)
+    # float64, so that the two sweeps' rounding stays below the 1e-12 bound
+    runner = ProtocolRunner(
+        tiny_protocol(strategy="kl", model={**tiny_protocol().model, "dtype": "float64"}),
+        seed=12)
     model = runner.model
     # a later-stage state: a snapshot that differs from the student
     runner.prev_model = model.clone()

@@ -75,8 +75,9 @@ TASK = make_task_stream(1, 1, seed=2)[0][0]
     (lambda: MetricsMatrix(["a"], [1]).value(2, "a"), "stage 2"),
     (lambda: DistillDataset(collect(TASK, TeacherPolicy(TASK), 1, base_seed=0), 20, ["a"]),
      TASK.task_id),
-    (lambda: ContextProvider(TaskEncoder(8, 64, 16, rng=np.random.default_rng(0)),
-                             n_chunks=8).refresh(["nope"]),
+    (lambda: ContextProvider(
+        TaskEncoder(8, 64, 16, rng=np.random.default_rng(0), dtype=np.float64), n_chunks=8,
+    ).refresh(["nope"]),
      "nope"),
 ], ids=["record", "value", "value-stage", "dataset", "refresh"])
 def test_an_unknown_task_or_stage_raises_input_error(call, name):

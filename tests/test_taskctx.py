@@ -48,7 +48,8 @@ def test_empty_trajectory_rejected():
 
 
 def test_encoder_outputs_unit_norm_and_pure():
-    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(5))
+    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(5),
+                      dtype=np.float64)
     traj = fake_traj(seed=2)
     z1 = encode_trajectory(enc, traj)
     z2 = encode_trajectory(enc, traj)
@@ -109,7 +110,7 @@ def test_infonce_permutation_invariant():
 
 def test_infonce_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
-    enc = TaskEncoder(input_dim=10, hidden_dim=6, embed_dim=5, rng=rng)
+    enc = TaskEncoder(input_dim=10, hidden_dim=6, embed_dim=5, rng=rng, dtype=np.float64)
     stats = rng.normal(size=(4, 10))
     labels = np.array([0, 0, 1, 1])
 
@@ -156,7 +157,8 @@ def test_task_context_mean_semantics():
 
 
 def test_context_provider_cache_and_refresh():
-    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(11))
+    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(11),
+                      dtype=np.float64)
     provider = ContextProvider(enc, n_chunks=8)
     provider.set_support("a", [fake_traj(seed=4)])
     with pytest.raises(InputError):
