@@ -16,7 +16,10 @@ Top-level keys
     max_steps           optional cap on optimizer steps per stage
     replay_m            trajectories selected per task per stage
     replay_strategy     dpp | random
-    budget_fraction     replay buffer cap as a fraction of distill data seen
+    budget_fraction     replay buffer cap as a fraction of distill data seen:
+                        replay_m may not exceed budget_fraction *
+                        episodes_per_task, so the buffer, replay_m
+                        trajectories per task seen, stays within it
     teacher_noise       optional Gaussian action-noise std for teachers
     infonce_weight      contrastive objective loss weight
     ewc_lambda          EWC penalty weight

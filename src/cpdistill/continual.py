@@ -24,13 +24,13 @@ Run directory (``out_dir``)
     metrics.tsv             the metrics matrix, written when the run ends
     stage_k/                one per finished stage k:
       model/, optimizer/    the stage-k student and its AdamW state
-      buffer.jsonl          the replay buffer
+      buffer.jsonl          the replay buffer, in selection order
       metrics.tsv           the metrics matrix through row k
       contexts.tsv          each seen task's context vector
       audits.tsv            every replay selection so far
       fisher/               EWC's Fisher estimate, before a later stage only
       routing_layer*.tsv    per-layer expert loads on a fixed probe
-      state.json            stage, strategy, seed, global step, distill count
+      state.json            stage, strategy, seed, global step
 
 Stage lifecycle
     `ProtocolRunner.run_stage` runs stage k in two parts. `train_stage`
@@ -65,7 +65,18 @@ naming the file, or `ConfigError` where `load_config` reads ``config.json``.
 loaded student and optimizer, as `_fresh_student` takes a new one, with an
 empty context cache that the stage's ``contexts.tsv`` then fills; `_carry`
 builds the EWC anchors from the saved ``fisher/`` and the KL snapshot, as
-`close_stage` builds them from the Fisher it has just estimated.
+`close_stage` builds them from the Fisher it has just estimated. It reads
+``fisher/`` for ``ewc`` only, before a later stage, and ignores one in any
+other run. Each record must be the one this run wrote at stage k, or
+`load_stage` raises `StateError` naming it: ``state.json`` holds a str
+strategy and an int seed and global step, each >= 0; ``metrics.tsv``
+scores the stream's tasks through stage k, at their introduction stages, in
+rows 1..k of rates in [0, 1] or NaN; ``contexts.tsv`` holds a
+``task_embed_dim`` vector for each task the context cache held (stage k's
+alone for a fresh-model strategy); ``buffer.jsonl`` holds ``replay_m``
+trajectories of each task through stage k, in stream order, for a replay
+strategy and none otherwise, each of the suite's shapes; and ``fisher/``
+holds the student's groups.
 """
 from __future__ import annotations
 
@@ -90,7 +101,7 @@ from .model import (
     expand_experts,
 )
 from .optim import AdamW, ParamGroup
-from .replay import ReplayBuffer, SelectionAudit, select_replay, update_buffer
+from .replay import SelectionAudit, select_replay, update_buffer
 from .replay import read_audits, write_audits
 from .seeds import EVAL as _EVAL, int_seed as _int_seed  # noqa: F401 (perfbench/desk_success.py)
 from .taskctx import ContextProvider, ContrastiveBatch, infonce_loss, traj_stats
@@ -132,13 +143,7 @@ EWC_BATCHES = 8
 @dataclass
 class StageConfig:
     index: int
-    epochs: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ConfigError("stage index starts at 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0 (0 is the debug no-train mode)")
+    epochs: int  # 0 is the debug no-train mode
 
 
 @dataclass
@@ -154,23 +159,19 @@ class EWCState:
 
 class DistillDataset:
     """(window, context index, teacher action) samples bucketed by window
-    length so batches need no padding and gating stats see no pad tokens."""
+    length so batches need no padding and gating stats see no pad tokens.
+    Every trajectory's task must be among ``task_ids``."""
 
     def __init__(self, trajs: list[Trajectory], seq_len: int, task_ids: list[str]):
-        if not trajs:
-            raise InputError("no trajectories to train on")
         self.task_ids = list(task_ids)
         index = {tid: i for i, tid in enumerate(self.task_ids)}
-        unknown = sorted({t.task_id for t in trajs} - index.keys())
-        if unknown:
-            raise InputError(f"trajectories of tasks {unknown} not among the dataset's tasks")
         raw: dict[int, list] = {}
-        for uid, traj in enumerate(trajs):
+        for traj in trajs:
             tix = index[traj.task_id]
             for t in range(len(traj.actions)):
                 length = min(t + 1, seq_len)
                 raw.setdefault(length, []).append(
-                    (traj.states[t + 1 - length : t + 1], traj.actions[t], tix, uid)
+                    (traj.states[t + 1 - length : t + 1], traj.actions[t], tix)
                 )
         self.buckets: dict[int, SimpleNamespace] = {}
         for length in sorted(raw):
@@ -179,7 +180,6 @@ class DistillDataset:
                 windows=np.stack([r[0] for r in rows]),
                 targets=np.stack([r[1] for r in rows]),
                 task_idx=np.array([r[2] for r in rows], dtype=np.intp),
-                uid=np.array([r[3] for r in rows], dtype=np.intp),
             )
 
     def epoch_batches(self, rng: np.random.Generator, batch_size: int):
@@ -199,7 +199,6 @@ class DistillDataset:
                 windows=bucket.windows[rows],
                 targets=bucket.targets[rows],
                 task_idx=bucket.task_idx[rows],
-                uid=bucket.uid[rows],
             )
 
 
@@ -259,17 +258,13 @@ def estimate_fisher(model: StudentModel, batches, lam: float = 0.0) -> dict[str,
 
 
 def ewc_penalty(model: StudentModel, state: EWCState) -> Tensor:
-    """(lam/2) * sum_i F_i (theta_i - anchor_i)^2 over anchored groups."""
+    """(lam/2) * sum_i F_i (theta_i - anchor_i)^2 over anchored groups:
+    each group the model's Fisher estimate or its saved ``fisher/`` holds."""
     total: Tensor | None = None
     for name, anchor in state.anchors.items():
-        group = model.params.get(name)
-        if group is None or group.tensor.data.shape != anchor.shape:
-            raise StateError(f"EWC anchor for {name} does not match the model")
-        d = group.tensor - Tensor(anchor)
+        d = model.params[name].tensor - Tensor(anchor)
         term = T.tsum(Tensor(state.fisher[name]) * d * d)
         total = term if total is None else total + term
-    if total is None:
-        raise StateError("EWC state has no anchors")
     return total * (state.lam / 2.0)
 
 
@@ -340,7 +335,7 @@ class ProtocolRunner:
         self.stream = make_task_stream(config.n_stages, config.tasks_per_stage, seed)
         self.matrix = MetricsMatrix()
         self.audits: list[SelectionAudit] = []
-        self.buffer = ReplayBuffer(budget_fraction=config.budget_fraction)
+        self.buffer: list[Trajectory] = []
         self.global_step = 0
         self.ewc_state: EWCState | None = None
         self.prev_model: StudentModel | None = None
@@ -427,7 +422,7 @@ class ProtocolRunner:
         # 3. training pool: current distill data plus the whole replay buffer,
         # which only replay strategies fill
         train_trajs = [t for spec in specs for t in self.stage_data[spec.task_id]]
-        train_trajs += self.buffer.all_trajectories()
+        train_trajs += self.buffer
         present = {t.task_id for t in train_trajs}
         data_task_ids = [
             s.task_id for seen in self.stream[:k] for s in seen if s.task_id in present
@@ -469,11 +464,8 @@ class ProtocolRunner:
         """After `train_stage` of stage k: replay selection from the stage's
         teacher data, the next stage's EWC or KL state from ``dataset`` when
         a stage follows, then ``stage_k/``."""
-        if self.traits.replay:
-            for i, (task_id, pool) in enumerate(self.stage_data.items()):
-                if self.config.replay_m == 0:
-                    update_buffer(self.buffer, len(pool), task_id, [])
-                    continue
+        if self.traits.replay and self.config.replay_m > 0:
+            for i, pool in enumerate(self.stage_data.values()):
                 chosen, audit = select_replay(
                     pool,
                     m=self.config.replay_m,
@@ -481,7 +473,7 @@ class ProtocolRunner:
                     seed=seeds.int_seed(self.seed, k, seeds.SELECT, i),
                     stage=k,
                 )
-                update_buffer(self.buffer, len(pool), task_id, chosen)
+                update_buffer(self.buffer, chosen)
                 self.audits.append(audit)
 
         if k < self.config.n_stages:
@@ -617,7 +609,7 @@ class ProtocolRunner:
         d.mkdir(parents=True, exist_ok=True)
         self.model.save(d / "model")
         save_optimizer(d / "optimizer", self.optimizer)
-        write_trajectories(d / "buffer.jsonl", self.buffer.all_trajectories())
+        write_trajectories(d / "buffer.jsonl", self.buffer)
         self.matrix.save(d / "metrics.tsv")
         write_contexts(d / "contexts.tsv", self.provider.cache, self.matrix.task_ids)
         write_audits(d / "audits.tsv", self.audits)
@@ -635,7 +627,6 @@ class ProtocolRunner:
             "global_step": self.global_step,
             "strategy": self.config.strategy,
             "seed": self.seed,
-            "total_distill_seen": self.buffer.total_distill_seen,
         }
         write_json(d / "state.json", state)
 
@@ -662,48 +653,65 @@ class ProtocolRunner:
         """Restore the runner to the end of stage k from ``stage_k/``: the
         student, optimizer, contexts, metrics matrix, replay buffer, global
         step, replay audits, and the EWC or KL state the next stage needs.
-        Raises `StateError` when the stage is not complete or was written
-        by another strategy, seed, task stream or model config."""
+        Raises `StateError` when the stage is not complete, was written by
+        another strategy, seed, task stream or model config, or holds a
+        record this run did not write there (the module docstring lists the
+        checks)."""
         if self.out_dir is None:
             raise StateError("the runner has no run directory to load a stage from")
         d = self._stage_dir(k)
         state = _stage_state(d)
-        if state["strategy"] != self.config.strategy or state["seed"] != self.seed:
-            raise StateError(
-                f"{d} was written by strategy {state['strategy']} with seed "
-                f"{state['seed']}, not {self.config.strategy} with seed {self.seed}"
-            )
+        _require(state["strategy"] == self.config.strategy and state["seed"] == self.seed, d,
+                 f"was written by strategy {state['strategy']} with seed {state['seed']}, "
+                 f"not {self.config.strategy} with seed {self.seed}")
+        seen = [(s.task_id, j) for j, stage in enumerate(self.stream[:k], 1) for s in stage]
         matrix = MetricsMatrix.load(d / "metrics.tsv")
-        if matrix.task_ids != [s.task_id for stage in self.stream[:k] for s in stage]:
-            raise StateError(f"{d} scores tasks other than this config's stream")
+        _require(list(zip(matrix.task_ids, matrix.intro_stage)) == seen, d / "metrics.tsv",
+                 "scores tasks other than this config's stream, or at other stages")
+        _require(matrix.stages() == list(range(1, k + 1)), d / "metrics.tsv",
+                 f"holds rows other than stages 1..{k}")
         self.matrix = matrix
         model, _ = StudentModel.load(d / "model")
         stored, ours = asdict(model.config), asdict(self.model_cfg)
         differ = [f"{key} {stored[key]!r}, not the run's {ours[key]!r}"
                   for key in ours if stored[key] != ours[key]]
-        if differ:
-            raise StateError(f"{d / 'model' / 'manifest.json'} holds a student of another "
-                             f"model config: {', '.join(differ)}")
+        _require(not differ, d / "model" / "manifest.json",
+                 f"holds a student of another model config: {', '.join(differ)}")
         self._adopt(model, load_optimizer(d / "optimizer", model.groups(), self.config.lr))
+        # a fresh-model strategy's context cache is as new as its student
+        held = [tid for tid, j in seen if j == k or not self.traits.fresh_model]
         ids, vecs = load_contexts(d / "contexts.tsv")
+        _require(ids == held and vecs.shape == (len(ids), self.model_cfg.task_embed_dim),
+                 d / "contexts.tsv", f"does not hold a {self.model_cfg.task_embed_dim}-wide "
+                 f"context for each of {held}")
         self.provider.cache.update(zip(ids, vecs))
-        self.buffer = ReplayBuffer(budget_fraction=self.config.budget_fraction)
-        for traj in read_trajectories(d / "buffer.jsonl"):
-            self.buffer.trajs_by_task.setdefault(traj.task_id, []).append(traj)
-        self.buffer.total_distill_seen = state["total_distill_seen"]
+        kept = self.config.replay_m if self.traits.replay else 0
+        self.buffer = read_trajectories(d / "buffer.jsonl")
+        _require([t.task_id for t in self.buffer] == [tid for tid, _ in seen for _ in range(kept)],
+                 d / "buffer.jsonl", f"does not hold {kept} trajectories of each task "
+                 f"through stage {k}, in stream order")
         self.global_step = state["global_step"]
         self.audits = read_audits(d / "audits.tsv")
         if k < self.config.n_stages:
             fisher = None
-            if (d / "fisher").exists():
-                groups, _ = load_groups(d / "fisher")
+            if self.traits.ewc:
+                _require((d / "fisher").exists(), d, f"has no fisher/, which ewc reads in stage {k + 1}")
+                specs = {g.name: (g.tensor.shape, g.tensor.dtype) for g in model.groups()}
+                groups, _ = load_groups(d / "fisher", lambda extra, stored: _require(
+                    stored == specs, "its groups", "are not the student's names, shapes and dtype"))
                 fisher = {g.name: g.tensor.data for g in groups}
             self._carry(fisher)
 
 
+def _require(ok: bool, record, what: str) -> None:
+    """`StateError` naming ``record`` unless ``ok``."""
+    if not ok:
+        raise StateError(f"{record} {what}")
+
+
 def _stage_state(d: Path) -> dict:
     """The ``state.json`` of stage directory ``d``; `StateError` when the
-    stage is not complete or the file lacks a key `load_stage` reads."""
+    stage is not complete or the file lacks a value `load_stage` reads."""
     if not (d / "state.json").exists():
         raise StateError(f"{d} is not a complete stage: it has no state.json")
     return read_record(d / "state.json", _state)
@@ -711,9 +719,11 @@ def _stage_state(d: Path) -> dict:
 
 def _state(text: str) -> dict:
     state = json_object(text)
-    missing = {"strategy", "seed", "global_step", "total_distill_seen"} - set(state)
-    if missing:
-        raise StateError(f"it lacks {sorted(missing)}")
+    missing = {"strategy", "seed", "global_step"} - set(state)
+    _require(not missing, "it", f"lacks {sorted(missing)}")
+    _require(isinstance(state["strategy"], str), "its strategy", "is not a str")
+    for key in ("seed", "global_step"):
+        _require(type(state[key]) is int and state[key] >= 0, f"its {key}", "is not an int >= 0")
     return state
 
 

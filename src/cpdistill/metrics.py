@@ -85,7 +85,10 @@ class MetricsMatrix:
             raise StateError("its rows differ in length")
         matrix = cls(task_ids=header[1:], intro_stage=[int(s) for s in intro[1:]])
         for cells in rows:
-            matrix.rows[int(cells[0])] = np.array([float(c) for c in cells[1:]])
+            rates = np.array([float(c) for c in cells[1:]])
+            if ((rates < 0.0) | (rates > 1.0)).any():  # NaN, a task not yet seen, passes
+                raise StateError(f"its stage {cells[0]} row holds a rate outside [0, 1]")
+            matrix.rows[int(cells[0])] = rates
         return matrix
 
 

@@ -164,8 +164,6 @@ def moe_route(
     instead of taking its momentum step.
     """
     n = layer.n_experts
-    if k > n:
-        raise DimensionError(f"top_k={k} exceeds {n} experts")
     logits = x @ layer.gate_w.tensor + layer.gate_b.tensor
     p_full = T.softmax(logits, axis=-1)
     sel = T.topk_indices(logits.data, k)

@@ -8,12 +8,13 @@ selector. Selection strategies: greedy MAP for a determinantal point
 process (log-det gain), and seeded random as its ablation. Each selection
 is recorded as a `SelectionAudit`; `write_audits` and `read_audits` keep a
 run's audits in a stage's ``audits.tsv``. A malformed pool raises
-InputError; an unsatisfiable request or a buffer over its budget raises
-ConfigError.
+InputError, and an unsatisfiable request ConfigError. The replay buffer is
+the list of chosen trajectories in selection order; its budget is a
+`ProtocolConfig` rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .checkpoint import read_record, table, write_table
 from .errors import ConfigError, InputError
 
 __all__ = [
-    "ReplayBuffer",
     "SelectionAudit",
     "write_audits",
     "read_audits",
@@ -139,24 +139,7 @@ def select(
 
 
 # ---------------------------------------------------------------------------
-# buffer plumbing
-
-
-@dataclass
-class ReplayBuffer:
-    budget_fraction: float
-    trajs_by_task: dict = field(default_factory=dict)
-    total_distill_seen: int = 0
-
-    @property
-    def size(self) -> int:
-        return sum(len(v) for v in self.trajs_by_task.values())
-
-    def all_trajectories(self) -> list:
-        out = []
-        for task in self.trajs_by_task:
-            out.extend(self.trajs_by_task[task])
-        return out
+# the buffer and its audits
 
 
 @dataclass
@@ -189,19 +172,9 @@ def read_audits(path) -> list[SelectionAudit]:
     return read_record(path, lambda text: [_audit(*cells) for cells in table(text)[1:]])
 
 
-def update_buffer(buffer: ReplayBuffer, n_new_distill: int, task_id: str, selected: list) -> ReplayBuffer:
-    """Register distill data seen and append the selected trajectories,
-    enforcing size <= budget_fraction * total seen."""
-    buffer.total_distill_seen += int(n_new_distill)
-    projected = buffer.size + len(selected)
-    allowed = buffer.budget_fraction * buffer.total_distill_seen
-    if projected > allowed + 1e-9:
-        raise ConfigError(
-            f"buffer of {projected} would exceed {buffer.budget_fraction:.0%} "
-            f"of {buffer.total_distill_seen} distill trajectories"
-        )
-    if selected:
-        buffer.trajs_by_task.setdefault(task_id, []).extend(selected)
+def update_buffer(buffer: list, selected: list) -> list:
+    """Append the selected trajectories to the buffer."""
+    buffer.extend(selected)
     return buffer
 
 

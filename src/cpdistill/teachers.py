@@ -32,7 +32,7 @@ import numpy as np
 
 from . import seeds as seeding  # `seeds` names episode seeds here
 from .checkpoint import json_lines, read_record, write_json_lines
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 
 __all__ = [
     "OBS_DIM",
@@ -290,10 +290,18 @@ def write_trajectories(path, trajs: list[Trajectory]) -> None:
     ))
 
 
+_SHAPES = {"states": (HORIZON + 1, OBS_DIM), "actions": (HORIZON, ACTION_DIM), "rewards": (HORIZON,)}
+
+
 def _trajectory(rec: dict) -> Trajectory:
-    arrays = {k: np.asarray(rec[k], dtype=np.float64) for k in ("states", "actions", "rewards")}
+    arrays = {k: np.asarray(rec[k], dtype=np.float64) for k in _SHAPES}
+    for k, shape in _SHAPES.items():
+        if arrays[k].shape != shape:
+            raise StateError(f"a trajectory's {k} have shape {arrays[k].shape}, not {shape}")
     return Trajectory(rec["task_id"], int(rec["seed"]), success=bool(rec["success"]), **arrays)
 
 
 def read_trajectories(path) -> list[Trajectory]:
+    """The trajectories `write_trajectories` wrote, in order; each must have
+    the suite's shapes."""
     return read_record(path, lambda text: [_trajectory(rec) for rec in json_lines(text)])

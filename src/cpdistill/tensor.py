@@ -494,8 +494,6 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        if not a.requires_grad:
-            return
         if _unique_rows(idx, a.shape[0]):
             _own_grad(a)[idx] += g
         else:
@@ -551,8 +549,7 @@ def _getitem(a: Tensor, key) -> Tensor:
     data = a.data[key]
 
     def backward(g):
-        if a.requires_grad:
-            _own_grad(a)[key] += g
+        _own_grad(a)[key] += g
 
     return _make(data, (a,), backward)
 

@@ -403,20 +403,59 @@ def _header(edit):
     return damage
 
 
+def _first_line(edit):
+    """A JSON-lines text whose first record is edited in place by ``edit``."""
+    def damage(text):
+        first, rest = text.split("\n", 1)
+        record = json.loads(first)
+        edit(record)
+        return json.dumps(record) + "\n" + rest
+    return damage
+
+
+def _lines(edit):
+    return lambda text: "".join(edit(line) + "\n" for line in text.splitlines())
+
+
 # a damaged record of stage 1, read by `eval --stage 1` and by `distill`
-# into the ewc run cut back to stage 1
+# into the ewc run cut back to stage 1, or for buffer.jsonl the ours run,
+# which keeps one trajectory of each task
 _STAGE_1 = [
     ("metrics.tsv", "stage\tx", "two cells"),
+    ("metrics.tsv", lambda text: text[:text.rindex("\t")] + "\t7.5\n", "rate 7.5"),
+    ("metrics.tsv", lambda text: text.replace("intro\t1", "intro\t2", 1), "intro 2"),
+    ("metrics.tsv", lambda text: "".join(text.splitlines(keepends=True)[:2]), "no row"),
     ("contexts.tsv", "a\tnope\n", "non-float"),
+    ("contexts.tsv", _lines(lambda line: line[:line.rindex("\t")]), "dropped column"),
+    ("contexts.tsv", lambda text: "nope" + text[text.index("\t"):], "renamed task"),
     ("audits.tsv", "stage\ttask_id\n1\ta\n", "two columns"),
     ("buffer.jsonl", '{"task_id": "a"}\n', "no seed"),
+    ("buffer.jsonl", _first_line(lambda rec: rec.update(task_id="nope")), "unknown task"),
+    ("buffer.jsonl", _first_line(lambda rec: rec.update(states=rec["states"][:-3])),
+     "3 states cut"),
+    ("buffer.jsonl", lambda text: text + text, "doubled"),
+    ("state.json", lambda text: json.dumps({**json.loads(text), "global_step": "x"}),
+     "global_step x"),
+    ("state.json", lambda text: json.dumps({**json.loads(text), "seed": True}), "seed true"),
+    ("state.json", lambda text: json.dumps({**json.loads(text), "strategy": 1}), "strategy 1"),
     ("model/manifest.json", "[]", "[]"),
     ("optimizer/manifest.json", _drop("extra"), "no extra"),
     *((f"{checkpoint}/manifest.json", _header(edit), label)
       for checkpoint, edit, label in DAMAGED_HEADERS),
     ("fisher/manifest.json", "{", "{"),
+    ("fisher/manifest.json", _header(lambda m: m["groups"][0].update(name="nope")),
+     "renamed group"),
     ("model/params.bin", "", "empty"),
 ]
+
+
+def _cut_back(run, run_dir):
+    """A copy of ``run``'s run directory, cut back to stage 1 as a crash in
+    stage 2 leaves it, so that distill reads stage 1."""
+    shutil.copytree(run / "run", run_dir)
+    shutil.rmtree(run_dir / "stage_2")
+    (run_dir / "metrics.tsv").unlink()
+    return run_dir
 
 
 @pytest.mark.parametrize("record,text,command", [
@@ -438,11 +477,13 @@ def test_a_damaged_run_record_raises_a_state_error_naming_it(
     finished_run, finished_ewc_run, tmp_path, capsys, record, text, command
 ):
     run = finished_ewc_run if record.startswith("stage_1/") else finished_run
-    run_dir = tmp_path / "run"
-    shutil.copytree(run / "run", run_dir)
-    if record.startswith("stage_1/"):  # cut back, so that distill reads stage 1
-        shutil.rmtree(run_dir / "stage_2")
-        (run_dir / "metrics.tsv").unlink()
+    if record == "stage_1/buffer.jsonl":
+        run = finished_run
+    if record.startswith("stage_1/"):
+        run_dir = _cut_back(run, tmp_path / "run")
+    else:
+        run_dir = tmp_path / "run"
+        shutil.copytree(run / "run", run_dir)
     path = run_dir / record
     path.write_text(text(path.read_text()) if callable(text) else text)
     before = tree_bytes(run_dir)
@@ -457,3 +498,21 @@ def test_a_damaged_run_record_raises_a_state_error_naming_it(
     assert captured.out == ""
     assert f"StateError: {path}" in captured.err
     assert tree_bytes(run_dir) == before
+
+
+def test_an_ewc_stage_without_its_fisher_is_refused(finished_ewc_run, tmp_path, capsys):
+    # the anchors of stage 2's penalty: without them stage 2 would train as
+    # finetune does
+    run_dir = _cut_back(finished_ewc_run, tmp_path / "run")
+    shutil.rmtree(run_dir / "stage_1" / "fisher")
+    before = tree_bytes(run_dir)
+    for command, args in (
+        ("eval", ["--stage", "1"]),
+        ("distill", ["--config", str(finished_ewc_run / "config.json"), "--seed", "3"]),
+    ):
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"StateError: {run_dir / 'stage_1'} has no fisher/" in captured.err
+        assert tree_bytes(run_dir) == before

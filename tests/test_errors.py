@@ -9,10 +9,8 @@ import pytest
 
 import cpdistill
 from cpdistill import errors
-from cpdistill.continual import DistillDataset
 from cpdistill.metrics import MetricsMatrix
 from cpdistill.taskctx import ContextProvider, TaskEncoder
-from cpdistill.teachers import TeacherPolicy, collect, make_task_stream
 
 SRC = Path(cpdistill.__file__).resolve().parent
 ERRORS = set(errors.__all__)
@@ -66,20 +64,15 @@ def test_every_raise_names_an_errors_class():
             f"{module}:{node.lineno} raises {name}")
 
 
-TASK = make_task_stream(1, 1, seed=2)[0][0]
-
-
 @pytest.mark.parametrize("call,name", [
     (lambda: MetricsMatrix().record(1, "nope", 0.5), "nope"),
     (lambda: MetricsMatrix().value(1, "nope"), "nope"),
     (lambda: MetricsMatrix(["a"], [1]).value(2, "a"), "stage 2"),
-    (lambda: DistillDataset(collect(TASK, TeacherPolicy(TASK), 1, base_seed=0), 20, ["a"]),
-     TASK.task_id),
     (lambda: ContextProvider(
         TaskEncoder(8, 64, 16, rng=np.random.default_rng(0), dtype=np.float64), n_chunks=8,
     ).refresh(["nope"]),
      "nope"),
-], ids=["record", "value", "value-stage", "dataset", "refresh"])
+], ids=["record", "value", "value-stage", "refresh"])
 def test_an_unknown_task_or_stage_raises_input_error(call, name):
     with pytest.raises(errors.InputError, match=name):
         call()

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from cpdistill.errors import ConfigError, InputError
 from cpdistill.replay import (
-    ReplayBuffer,
     build_kernel,
     featurize,
     preprocess_features,
@@ -153,28 +152,15 @@ def test_greedy_dpp_never_beats_the_exact_map(data):
     assert select(feats, 1, strategy="dpp") == exact_dpp(gram, 1)
 
 
-def test_budget_arithmetic():
-    buffer = ReplayBuffer(budget_fraction=0.10)
-    trajs = [traj_with_states(np.zeros((41, 4)), seed=i) for i in range(131)]
-    update_buffer(buffer, 131, "taskA", trajs[:10])
-    assert buffer.size == 10
-    assert buffer.size / buffer.total_distill_seen == pytest.approx(0.0763, abs=1e-3)
-
-    update_buffer(buffer, 0, "taskA", [])
-    assert buffer.size == 10
-
-    with pytest.raises(ConfigError):
-        update_buffer(ReplayBuffer(0.10), 50, "taskB", trajs[:10])
-
-
 def test_buffer_accumulates_across_stages():
-    buffer = ReplayBuffer(budget_fraction=0.10)
-    pool = [traj_with_states(np.zeros((41, 4)), seed=i) for i in range(60)]
-    update_buffer(buffer, 60, "a", pool[:5])
-    update_buffer(buffer, 60, "b", pool[5:10])
-    assert buffer.size == 10
-    assert sorted(buffer.trajs_by_task) == ["a", "b"]
-    assert len(buffer.all_trajectories()) == 10
+    # the buffer is the chosen trajectories in selection order
+    pool = [traj_with_states(np.zeros((41, 4)), task_id="ab"[i // 5], seed=i) for i in range(10)]
+    buffer = []
+    assert update_buffer(buffer, pool[:5]) is buffer
+    update_buffer(buffer, [])
+    update_buffer(buffer, pool[5:])
+    assert buffer == pool
+    assert [t.task_id for t in buffer] == ["a"] * 5 + ["b"] * 5
 
 
 def test_select_replay_pipeline_and_audit():
