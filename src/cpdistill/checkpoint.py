@@ -38,6 +38,28 @@ text, or to its bytes, and turns any failure of the parse into a
 `StateError` naming the file. `json_object`, `json_lines` and `table` parse
 the three text formats; each record's module maps their values to its
 fields. Round-trips are bit-exact.
+
+Checks, by reader; each refusal is a `StateError` naming the file:
+
+    json_object                 the text is one JSON object
+    load_groups                 the manifest's format; its ``parse_extra``
+                                checks the header against the stored
+                                groups: ``model/``'s layout and dtype
+                                (`StudentModel.load`), ``optimizer/``'s t
+                                and moments (`load_optimizer`), and
+                                ``fisher/``'s groups, which must be the
+                                student's names, shapes and dtype
+                                (`ProtocolRunner.load_stage`)
+    read_trajectories           each trajectory has the suite's shapes
+    MetricsMatrix.load          a header, an intro row and rows of equal
+                                length, each rate in [0, 1] or NaN
+    load_contexts, read_audits  cells that parse as their fields
+
+`ProtocolRunner.load_stage` then holds each record of ``stage_k/`` to the
+run that reads it: ``state.json``'s types, strategy and seed, the tasks,
+introduction stages and rows of ``metrics.tsv``, the ids and width of
+``contexts.tsv``, the tasks and order of ``buffer.jsonl``, the model
+config, and that an ``ewc`` stage before the last holds ``fisher/``.
 """
 from __future__ import annotations
 

@@ -67,6 +67,14 @@ moves a few tokens to another expert in the ``stream-ours`` and
 one expert's step count ``t`` in ``stream-ours``'s optimizer headers
 differ too. ``config.json``, ``commands.txt``, every ``metrics.tsv`` and
 every other file are compared as usual.
+Across the change that made the replay buffer a list, each
+``stage_k/state.json`` loses its ``"total_distill_seen": n`` line and the
+comma after the ``"strategy"`` line before it; every other file and
+``commands.txt`` are compared as usual. A run directory written before
+that change, whose ``state.json`` files still hold the count, continues,
+evaluates and reports as the change's own run does: its later stages, the
+output of every ``eval`` and ``report``, and the report's files are
+identical.
 
 One matrix took 90 s on an idle 2-core machine with one BLAS thread.
 pytest does not collect this file.

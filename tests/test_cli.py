@@ -413,10 +413,6 @@ def _first_line(edit):
     return damage
 
 
-def _lines(edit):
-    return lambda text: "".join(edit(line) + "\n" for line in text.splitlines())
-
-
 # a damaged record of stage 1, read by `eval --stage 1` and by `distill`
 # into the ewc run cut back to stage 1, or for buffer.jsonl the ours run,
 # which keeps one trajectory of each task
@@ -426,7 +422,8 @@ _STAGE_1 = [
     ("metrics.tsv", lambda text: text.replace("intro\t1", "intro\t2", 1), "intro 2"),
     ("metrics.tsv", lambda text: "".join(text.splitlines(keepends=True)[:2]), "no row"),
     ("contexts.tsv", "a\tnope\n", "non-float"),
-    ("contexts.tsv", _lines(lambda line: line[:line.rindex("\t")]), "dropped column"),
+    ("contexts.tsv", lambda text: "".join(line[:line.rindex("\t")] + "\n"
+                                          for line in text.splitlines()), "dropped column"),
     ("contexts.tsv", lambda text: "nope" + text[text.index("\t"):], "renamed task"),
     ("audits.tsv", "stage\ttask_id\n1\ta\n", "two columns"),
     ("buffer.jsonl", '{"task_id": "a"}\n', "no seed"),
@@ -449,13 +446,11 @@ _STAGE_1 = [
 ]
 
 
-def _cut_back(run, run_dir):
-    """A copy of ``run``'s run directory, cut back to stage 1 as a crash in
-    stage 2 leaves it, so that distill reads stage 1."""
-    shutil.copytree(run / "run", run_dir)
+def _cut_back(run_dir):
+    """Cut a finished 2-stage run back to stage 1, as a crash in stage 2
+    leaves it, so that distill reads stage 1."""
     shutil.rmtree(run_dir / "stage_2")
     (run_dir / "metrics.tsv").unlink()
-    return run_dir
 
 
 @pytest.mark.parametrize("record,text,command", [
@@ -476,14 +471,11 @@ def _cut_back(run, run_dir):
 def test_a_damaged_run_record_raises_a_state_error_naming_it(
     finished_run, finished_ewc_run, tmp_path, capsys, record, text, command
 ):
-    run = finished_ewc_run if record.startswith("stage_1/") else finished_run
-    if record == "stage_1/buffer.jsonl":
-        run = finished_run
-    if record.startswith("stage_1/"):
-        run_dir = _cut_back(run, tmp_path / "run")
-    else:
-        run_dir = tmp_path / "run"
-        shutil.copytree(run / "run", run_dir)
+    stage_1 = record.startswith("stage_1/")
+    run = finished_ewc_run if stage_1 and record != "stage_1/buffer.jsonl" else finished_run
+    run_dir = shutil.copytree(run / "run", tmp_path / "run")
+    if stage_1:
+        _cut_back(run_dir)
     path = run_dir / record
     path.write_text(text(path.read_text()) if callable(text) else text)
     before = tree_bytes(run_dir)
@@ -503,7 +495,8 @@ def test_a_damaged_run_record_raises_a_state_error_naming_it(
 def test_an_ewc_stage_without_its_fisher_is_refused(finished_ewc_run, tmp_path, capsys):
     # the anchors of stage 2's penalty: without them stage 2 would train as
     # finetune does
-    run_dir = _cut_back(finished_ewc_run, tmp_path / "run")
+    run_dir = shutil.copytree(finished_ewc_run / "run", tmp_path / "run")
+    _cut_back(run_dir)
     shutil.rmtree(run_dir / "stage_1" / "fisher")
     before = tree_bytes(run_dir)
     for command, args in (
