@@ -34,7 +34,8 @@ group's; a header with more keys, such as an older model ``stage`` or
 optimizer ``lr``, loads.
 
 `read_record` is the one reader: it applies the caller's parse to a file's
-text, or to its bytes, and turns any failure of the parse into a
+text, or to its bytes, and turns a file that cannot be read (a record
+missing from a complete stage) or any failure of the parse into a
 `StateError` naming the file. `json_object`, `json_lines` and `table` parse
 the three text formats; each record's module maps their values to its
 fields. Round-trips are bit-exact.
@@ -119,11 +120,13 @@ def write_table(path, rows) -> None:
 
 def read_record(path, parse, *, binary: bool = False):
     """``parse`` applied to the text of file ``path``, or to its bytes when
-    ``binary``. Text that does not decode, or a parse that fails, raises
-    `StateError` naming the file."""
+    ``binary``. A file that is missing or cannot be read, text that does not
+    decode, or a parse that fails raises `StateError` naming the file."""
     path = Path(path)
     try:
         return parse(path.read_bytes() if binary else path.read_text())
+    except OSError as err:  # missing, a directory, not permitted
+        raise StateError(f"{path} cannot be read: {err.strerror or err}") from None
     except StateError as err:  # a parse's own check
         raise StateError(f"{path} is damaged: {err}") from None
     except (ValueError, LookupError, TypeError, AttributeError) as err:

@@ -205,7 +205,7 @@ def _check_types(cls, section: str, values: dict) -> None:
 
 def load_config(path) -> ProtocolConfig:
     """The config in file ``path``; `ConfigError` naming the file when it
-    holds no JSON object."""
+    cannot be read or holds no JSON object."""
     try:
         data = read_json_object(path)
     except StateError as err:

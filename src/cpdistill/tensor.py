@@ -25,12 +25,22 @@ slice adds its gradient into the matching part of its parent's gradient.
 A graph is swept backward once: GELU's backward reuses its saved buffers in
 place.
 
+A kernel's backward computes an input's gradient only when that input
+``requires_grad`` (PyTorch's ``needs_input_grad``): from stage 2 on the
+frozen backbone's weights, and activations that depend on no trainable
+tensor, cost no gradient arithmetic. The gradient a trainable input gets is
+computed the same way either way, so skipping a frozen one changes no bit.
+The order of the sweep does set the bits: a tensor read by several kernels
+sums its gradient contributions in that order, so it is part of the
+determinism contract.
+
 Everything here is single-threaded and deterministic: same inputs, same
 bits out.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -234,7 +244,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _check_finite(data: np.ndarray, kernel: str) -> None:
     # single reduction, no temporaries: nan/inf poison the sum, and finite
     # activations at training scale cannot overflow it
-    if not np.isfinite(data.sum()):
+    if not math.isfinite(np.add.reduce(data, axis=None)):
         raise NumericError(f"{kernel} produced non-finite values")
 
 
@@ -246,10 +256,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        ga = _unbroadcast(g, a.shape)
-        _accum(a, ga, fresh=ga is not g)
-        gb = _unbroadcast(g, b.shape)
-        _accum(b, gb, fresh=gb is not g)
+        if a.requires_grad:
+            ga = _unbroadcast(g, a.shape)
+            _accum(a, ga, fresh=ga is not g)
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.shape)
+            _accum(b, gb, fresh=gb is not g)
 
     return _make(data, (a, b), backward)
 
@@ -258,9 +270,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        ga = _unbroadcast(g, a.shape)
-        _accum(a, ga, fresh=ga is not g)
-        _accum(b, _unbroadcast(-g, b.shape), fresh=True)
+        if a.requires_grad:
+            ga = _unbroadcast(g, a.shape)
+            _accum(a, ga, fresh=ga is not g)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -269,8 +283,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
-        _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -281,8 +297,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     _check_finite(data, "div")
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape), fresh=True)
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -308,11 +326,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if flat:
             g2 = g.reshape(-1, g.shape[-1])
-            _accum(a, (g2 @ b.data.T).reshape(a.shape), fresh=True)
-            _accum(b, a2.T @ g2, fresh=True)
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.shape), fresh=True)
+            if b.requires_grad:
+                _accum(b, a2.T @ g2, fresh=True)
         else:
-            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape), fresh=True)
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape), fresh=True)
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape), fresh=True)
+            if b.requires_grad:
+                _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -435,8 +457,18 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Row-stabilized softmax (max subtracted before exponentiation)."""
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
+    x = a.data
+    if x.flags.c_contiguous:
+        # the row max of a contiguous copy with the axis swapped first is an
+        # elementwise max across rows, far faster than a reduction along a
+        # short last axis. A max does not round, and `x - m` still takes x's
+        # memory order, so the sums below and the bits are the same; for
+        # another order, this m would change the order of `e`'s sums
+        m = np.ascontiguousarray(x.swapaxes(axis, 0)).max(axis=0, keepdims=True)
+        m = m.swapaxes(0, axis)
+    else:
+        m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
     s = e.sum(axis=axis, keepdims=True)
     data = e / s
     _check_finite(data, "softmax")
@@ -467,16 +499,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     _check_finite(data, "layer_norm")
 
     def backward(g):
-        gxhat = g * gain.data
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        _accum(x, gx, fresh=True)
+        if x.requires_grad:
+            gxhat = g * gain.data
+            gx = inv * (
+                gxhat
+                - gxhat.mean(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            _accum(x, gx, fresh=True)
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead), fresh=True)
-        _accum(bias, g.sum(axis=lead), fresh=True)
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).sum(axis=lead), fresh=True)
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=lead), fresh=True)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -521,11 +556,14 @@ def put_rows(rows: Tensor, idx: np.ndarray, n: int) -> Tensor:
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis.
 
-    Ties resolve to the lowest index (stable sort on negated scores), which
-    pins routing behaviour for tests. Selection is not differentiable.
+    Ties resolve to the lowest index (the first maximum for k = 1, a stable
+    sort on negated scores otherwise), which pins routing behaviour for
+    tests. Selection is not differentiable.
     """
     if k < 1 or k > scores.shape[-1]:
         raise DimensionError(f"top-k k={k} out of range for {scores.shape}")
+    if k == 1:  # argmax picks the first maximum, the lowest index
+        return np.argmax(scores, axis=-1)[..., None]
     return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 

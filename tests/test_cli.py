@@ -62,10 +62,11 @@ def test_runtime_error_exit_2(tmp_path, capsys):
     assert "ConfigError" in err
 
 
-@pytest.mark.parametrize("text", ["[]", "null", '"ours"', '{"strategy": "ours"'])
+@pytest.mark.parametrize("text", ["[]", "null", '"ours"', '{"strategy": "ours"', None])
 def test_distill_refuses_a_config_file_that_is_not_an_object(tmp_path, capsys, text):
     bad = tmp_path / "c.json"
-    bad.write_text(text)
+    if text is not None:  # None: no such file
+        bad.write_text(text)
     run_dir = tmp_path / "run"
     assert main(["distill", "--config", str(bad), "--out", str(run_dir)]) == 2
     captured = capsys.readouterr()
@@ -413,14 +414,16 @@ def _first_line(edit):
     return damage
 
 
-# a damaged record of stage 1, read by `eval --stage 1` and by `distill`
-# into the ewc run cut back to stage 1, or for buffer.jsonl the ours run,
-# which keeps one trajectory of each task
+# a damaged record of stage 1 (text None: the record is removed), read by
+# `eval --stage 1` and by `distill` into the ewc run cut back to stage 1, or
+# for buffer.jsonl the ours run, which keeps one trajectory of each task
 _STAGE_1 = [
+    ("metrics.tsv", None, "removed"),
     ("metrics.tsv", "stage\tx", "two cells"),
     ("metrics.tsv", lambda text: text[:text.rindex("\t")] + "\t7.5\n", "rate 7.5"),
     ("metrics.tsv", lambda text: text.replace("intro\t1", "intro\t2", 1), "intro 2"),
     ("metrics.tsv", lambda text: "".join(text.splitlines(keepends=True)[:2]), "no row"),
+    ("contexts.tsv", None, "removed"),
     ("contexts.tsv", "a\tnope\n", "non-float"),
     ("contexts.tsv", lambda text: "".join(line[:line.rindex("\t")] + "\n"
                                           for line in text.splitlines()), "dropped column"),
@@ -443,6 +446,7 @@ _STAGE_1 = [
     ("fisher/manifest.json", _header(lambda m: m["groups"][0].update(name="nope")),
      "renamed group"),
     ("model/params.bin", "", "empty"),
+    ("model/params.bin", None, "removed"),
 ]
 
 
@@ -477,7 +481,10 @@ def test_a_damaged_run_record_raises_a_state_error_naming_it(
     if stage_1:
         _cut_back(run_dir)
     path = run_dir / record
-    path.write_text(text(path.read_text()) if callable(text) else text)
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text(path.read_text()) if callable(text) else text)
     before = tree_bytes(run_dir)
     args = {
         "report": [],

@@ -16,6 +16,7 @@ from cpdistill.model import (
     moe_route,
 )
 from cpdistill.optim import ParamGroup
+from cpdistill.taskctx import ContrastiveBatch, infonce_loss
 from oracles import eval_with_gradients, finite_difference_grads, predict_one
 from cpdistill.tensor import Tensor
 
@@ -303,6 +304,47 @@ def test_mask_schedule():
 
     with pytest.raises(ConfigError):
         apply_mask_schedule(model, phase=3)
+
+
+def _group_grads(model, windows, z, targets, stats):
+    """Each group's gradient (None when it gets none) of a train step's
+    loss: action error, aux term and InfoNCE on the task encoder."""
+    for group in model.groups():
+        group.tensor.grad = None
+    actions, aux, _ = model.forward(windows, z)
+    diff = actions - Tensor(targets.astype(actions.dtype))
+    loss = T.tmean(T.tsum(diff * diff, axis=1)) + aux * 0.01
+    labels = np.arange(len(stats)) % 2
+    loss = loss + infonce_loss(ContrastiveBatch(model.encoder.encode(stats), labels))
+    loss.backward()
+    return {g.name: g.tensor.grad for g in model.groups()}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("phase", [1, 2])
+def test_masked_groups_get_no_gradient_and_change_no_other(phase, k):
+    # the frozen backbone, gates or old experts cost no gradient arithmetic,
+    # and every trainable group gets the bits of an all-trainable sweep
+    cfg = tiny_config(depth=2, experts_per_layer=2, top_k=k)
+    model = StudentModel(cfg, seed=43)
+    # a cold start of 0, so that the added experts take tokens
+    expand_experts(model, ExpansionConfig(cold_start_bias=0.0), seed=4)
+    windows, z = probe(cfg, batch=8, seed=9)
+    rng = np.random.default_rng(10)
+    targets = rng.normal(size=(8, cfg.action_dim))
+    stats = rng.normal(size=(6, model.encoder.input_dim))
+    every = _group_grads(model, windows, z, targets, stats)
+    assert all(g is not None for g in every.values())
+
+    apply_mask_schedule(model, phase)
+    grads = _group_grads(model, windows, z, targets, stats)
+    frozen = set(model.params) - trainable_names(model)
+    assert frozen and len(frozen) < len(grads)
+    for name, grad in grads.items():
+        if name in frozen:
+            assert grad is None, name
+        else:
+            assert np.array_equal(grad, every[name]), name
 
 
 def test_model_gradients_match_finite_differences():

@@ -1,4 +1,6 @@
 """Kernel-level gradient checks against central finite differences."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -279,6 +281,47 @@ def test_no_grad_builds_no_graph():
     assert out._backward is None and not out.requires_grad
 
 
+# each kernel with two or three inputs, with the input shapes it is run on:
+# broadcasting, both matmul branches, layer norm's gain and bias
+_MULTI_INPUT = {
+    "add": (T.add, [(2, 3, 4), (4,)]),
+    "sub": (T.sub, [(3, 4), (2, 1, 4)]),
+    "mul": (T.mul, [(2, 3, 4), (3, 1)]),
+    "div": (T.div, [(3, 4), (3, 4)]),
+    "matmul flat": (T.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul stacked": (T.matmul, [(2, 3, 4), (1, 4, 5)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "concat": (lambda *parts: T.concat(parts, axis=1), [(2, 1, 4), (2, 3, 4), (2, 2, 4)]),
+}
+
+
+def _input_grads(kernel, arrays, w, frozen):
+    """The gradient of every input of ``sum(kernel(*inputs) * w)``, with
+    input ``frozen`` (an index, or None) not requiring one."""
+    leaves = [T.Tensor(a.copy(), requires_grad=i != frozen) for i, a in enumerate(arrays)]
+    T.tsum(kernel(*leaves) * T.Tensor(w)).backward()
+    return [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_MULTI_INPUT))
+def test_a_frozen_input_changes_no_other_gradient(name, dtype):
+    # a backward computes only the gradients its trainable inputs read;
+    # the others are the bits an all-trainable sweep gives
+    kernel, shapes = _MULTI_INPUT[name]
+    rng = np.random.default_rng(41)
+    arrays = [rng.uniform(0.5, 2.0, shape).astype(dtype) for shape in shapes]
+    w = rng.normal(size=kernel(*map(T.Tensor, arrays)).shape).astype(dtype)
+    every = _input_grads(kernel, arrays, w, None)
+    assert all(g is not None for g in every)
+    for frozen in range(len(arrays)):
+        grads = _input_grads(kernel, arrays, w, frozen)
+        assert grads[frozen] is None
+        for i, (g, ref) in enumerate(zip(grads, every)):
+            if i != frozen:
+                assert g.dtype == ref.dtype and np.array_equal(g, ref), (name, frozen, i)
+
+
 # ---------------------------------------------------------------------------
 # property tests: the kernels a student forward pass is built from, against
 # central finite differences in float64 on random small shapes. Entries lie
@@ -396,3 +439,71 @@ def test_reductions_match_finite_differences(data, keepdims):
     v = drawn(data, shape)
     check_grads(lambda: T.tsum(T.tsum(x.tensor, axis=axis, keepdims=keepdims) * T.Tensor(w))
                 + T.tmean(x.tensor * T.Tensor(v)), [x])
+
+
+# ---------------------------------------------------------------------------
+# exact rewrites: the same bits as the formulas they replace
+
+
+def _softmax_reference(x, axis):
+    """The row-max formula `softmax` replaced, term for term."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+# the causal mask's -1e9, tied and signed-zero maxima, and spread-out logits
+LOGITS = st.one_of(
+    st.sampled_from([-1e9, 0.0, -0.0, 1.0, 2.0]),
+    st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([np.float32, np.float64]))
+def test_softmax_equals_the_row_max_formula_bit_for_bit(data, dtype):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4, max_side=5))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    x = data.draw(hnp.arrays(dtype, shape, elements=LOGITS))
+    # a transposed view too, whose memory order is not its axis order
+    x = x.transpose(data.draw(st.permutations(range(len(shape)))))
+    out = T.softmax(T.Tensor(x), axis=axis).data
+    assert out.dtype == x.dtype
+    assert np.array_equal(out, _softmax_reference(x, axis))
+
+
+def test_softmax_on_causal_scores_equals_the_row_max_formula():
+    # attention scores as the student masks them: (batch, heads, t, t)
+    rng = np.random.default_rng(5)
+    scores = rng.normal(size=(3, 4, 20, 20)).astype(np.float32)
+    scores[..., 7, :] = 1.5  # a row of tied maxima
+    scores = np.where(np.tril(np.ones((20, 20), dtype=bool)), scores, np.float32(-1e9))
+    out = T.softmax(T.Tensor(scores), axis=-1).data
+    assert np.array_equal(out, _softmax_reference(scores, -1))
+
+
+def test_softmax_of_any_memory_order_equals_the_row_max_formula():
+    # rows longer than numpy's 8-element pairwise-sum block, along every
+    # axis of every transposed view
+    base = np.random.default_rng(6).normal(0.0, 10.0, size=(3, 4, 20, 17)).astype(np.float32)
+    for perm in itertools.permutations(range(base.ndim)):
+        x = base.transpose(perm)
+        for axis in range(-x.ndim, x.ndim):
+            out = T.softmax(T.Tensor(x), axis=axis).data
+            assert np.array_equal(out, _softmax_reference(x, axis)), (perm, axis)
+
+
+@PROPERTY
+@given(st.data())
+def test_top1_equals_the_stable_sort_with_ties(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    # few distinct values, so most rows hold tied maxima
+    scores = data.draw(hnp.arrays(np.float64, shape,
+                                  elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])))
+    idx = T.topk_indices(scores, 1)
+    assert idx.shape == shape[:-1] + (1,)
+    assert np.array_equal(idx, np.argsort(-scores, axis=-1, kind="stable")[..., :1])
+
+
+def test_top1_ties_resolve_to_the_lowest_index():
+    scores = np.array([[3.0, 3.0, 3.0], [-0.0, 0.0, -1.0], [0.0, -0.0, 0.0], [1.0, 2.0, 2.0]])
+    assert T.topk_indices(scores, 1).tolist() == [[0], [0], [0], [1]]
