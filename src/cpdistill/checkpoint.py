@@ -53,7 +53,11 @@ Checks, by reader; each refusal is a `StateError` naming the file:
                                 (`ProtocolRunner.load_stage`)
     read_trajectories           each trajectory has the suite's shapes
     MetricsMatrix.load          a header, an intro row and rows of equal
-                                length, each rate in [0, 1] or NaN
+                                length; the rows are stages 1..K, each
+                                task's intro stage lies in 1..K and stage
+                                1 introduces one, and row k holds a rate
+                                in [0, 1] for each task introduced by
+                                stage k and NaN for each later task
     load_contexts, read_audits  cells that parse as their fields
 
 `ProtocolRunner.load_stage` then holds each record of ``stage_k/`` to the

@@ -71,12 +71,13 @@ other run. Each record must be the one this run wrote at stage k, or
 `load_stage` raises `StateError` naming it: ``state.json`` holds a str
 strategy and an int seed and global step, each >= 0; ``metrics.tsv``
 scores the stream's tasks through stage k, at their introduction stages, in
-rows 1..k of rates in [0, 1] or NaN; ``contexts.tsv`` holds a
-``task_embed_dim`` vector for each task the context cache held (stage k's
-alone for a fresh-model strategy); ``buffer.jsonl`` holds ``replay_m``
-trajectories of each task through stage k, in stream order, for a replay
-strategy and none otherwise, each of the suite's shapes; and ``fisher/``
-holds the student's groups.
+rows 1..k (its reader holds each row to the rule a run writes by, listed
+in `cpdistill.checkpoint`); ``contexts.tsv`` holds a ``task_embed_dim``
+vector for each task the context cache held (stage k's alone for a
+fresh-model strategy); ``buffer.jsonl`` holds ``replay_m`` trajectories of
+each task through stage k, in stream order, for a replay strategy and none
+otherwise, each of the suite's shapes; and ``fisher/`` holds the student's
+groups.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ from . import tensor as T
 from .checkpoint import json_object, load_groups, load_optimizer, read_json_object, read_record
 from .checkpoint import save_groups, save_optimizer, write_json, write_table
 from .config import STRATEGY_TRAITS, ProtocolConfig, load_config, save_config
-from .errors import ConfigError, InputError, StateError
+from .errors import ConfigError, StateError
 from .metrics import MetricsMatrix
 from .model import (
     StudentModel,
@@ -227,8 +228,6 @@ def distill_loss(
     With ``with_actions`` it returns ``(loss, actions)``: the student's
     action means from the same forward pass, for a penalty on the same batch
     to reuse (``kl_penalty(..., actions=...)``)."""
-    if len(windows) == 0:
-        raise InputError("empty distillation batch")
     actions, aux, _ = model.forward(windows, contexts)
     diff = actions - Tensor(np.asarray(targets, dtype=actions.dtype))
     loss = T.tmean(T.tsum(diff * diff, axis=1))
@@ -239,7 +238,7 @@ def distill_loss(
 
 def estimate_fisher(model: StudentModel, batches, lam: float = 0.0) -> dict[str, np.ndarray]:
     """Diagonal Fisher surrogate: per-parameter mean squared gradient of the
-    training loss over the given batches."""
+    training loss over the given batches, of which there is at least one."""
     trainable = [g for g in model.groups() if g.trainable]
     sums = {g.name: np.zeros_like(g.tensor.data) for g in trainable}
     count = 0
@@ -252,8 +251,6 @@ def estimate_fisher(model: StudentModel, batches, lam: float = 0.0) -> dict[str,
             if g.tensor.grad is not None:
                 sums[g.name] += g.tensor.grad**2
         count += 1
-    if count == 0:
-        raise InputError("fisher estimation needs at least one batch")
     return {name: s / count for name, s in sums.items()}
 
 
@@ -270,7 +267,7 @@ def ewc_penalty(model: StudentModel, state: EWCState) -> Tensor:
 
 def kl_penalty(
     model: StudentModel,
-    prev_model: StudentModel | None,
+    prev_model: StudentModel,
     windows: np.ndarray,
     contexts: np.ndarray,
     sigma0: float,
@@ -287,8 +284,6 @@ def kl_penalty(
     gradient of both terms and the student runs forward and backward once
     per step; value and gradient equal those of a second student pass up to
     rounding. Without ``actions`` the student is run here."""
-    if prev_model is None:
-        raise StateError("KL penalty needs the previous stage's snapshot")
     mu_old = prev_model.predict_batch(windows, contexts)
     if actions is None:
         actions, _, _ = model.forward(windows, contexts)
@@ -650,15 +645,13 @@ class ProtocolRunner:
             ])
 
     def load_stage(self, k: int) -> None:
-        """Restore the runner to the end of stage k from ``stage_k/``: the
-        student, optimizer, contexts, metrics matrix, replay buffer, global
-        step, replay audits, and the EWC or KL state the next stage needs.
-        Raises `StateError` when the stage is not complete, was written by
-        another strategy, seed, task stream or model config, or holds a
-        record this run did not write there (the module docstring lists the
-        checks)."""
-        if self.out_dir is None:
-            raise StateError("the runner has no run directory to load a stage from")
+        """Restore the runner to the end of stage k from ``stage_k/`` of its
+        ``out_dir``: the student, optimizer, contexts, metrics matrix,
+        replay buffer, global step, replay audits, and the EWC or KL state
+        the next stage needs. Raises `StateError` when the stage is not
+        complete, was written by another strategy, seed, task stream or
+        model config, or holds a record this run did not write there (the
+        module docstring lists the checks)."""
         d = self._stage_dir(k)
         state = _stage_state(d)
         _require(state["strategy"] == self.config.strategy and state["seed"] == self.seed, d,

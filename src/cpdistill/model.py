@@ -28,7 +28,7 @@ import numpy as np
 from . import seeds
 from . import tensor as T
 from .checkpoint import load_groups, save_groups
-from .errors import ConfigError, DimensionError, InputError, StateError
+from .errors import ConfigError, StateError
 from .optim import ParamGroup
 from .taskctx import TaskEncoder
 from .tensor import Tensor
@@ -299,23 +299,13 @@ class StudentModel:
         return list(self.params.values())
 
     def embed_input(self, windows: np.ndarray, z: np.ndarray) -> Tensor:
-        """(B, t, obs) states + (B, embed) contexts -> (B, t, hidden) tokens."""
+        """(B, t, obs) states + (B, embed) contexts -> (B, t, hidden) tokens,
+        for 1 <= t <= seq_len."""
         windows = np.asarray(windows, dtype=self.config.np_dtype)
         z = np.asarray(z, dtype=self.config.np_dtype)
         b, t = windows.shape[0], windows.shape[1]
-        if t < 1:
-            raise InputError("empty input window")
-        if t > self.config.seq_len:
-            raise InputError(
-                f"window of {t} states exceeds seq_len={self.config.seq_len}; "
-                "caller must truncate to the most recent states"
-            )
         zrep = np.broadcast_to(z[:, None, :], (b, t, z.shape[-1]))
         x = np.concatenate([windows, zrep], axis=2)
-        if x.shape[-1] != self.config.input_width:
-            raise DimensionError(
-                f"token width {x.shape[-1]} != obs+embed {self.config.input_width}"
-            )
         tokens = Tensor(x) @ self.params["embed.w"].tensor + self.params["embed.b"].tensor
         return tokens + self.params["pos"].tensor[0:t]
 
@@ -552,7 +542,7 @@ def _is_backbone(name: str) -> bool:
 
 
 def apply_mask_schedule(model: StudentModel, phase: int) -> None:
-    """Set every group's trainability for a phase of stage 2 or later.
+    """Set every group's trainability for phase 1 or 2 of stage 2 or later.
 
     Stage 1 trains a fresh student whole, so it calls nothing here. From
     stage 2 on the backbone (embeddings, positions, layer norms, attention,
@@ -561,8 +551,6 @@ def apply_mask_schedule(model: StudentModel, phase: int) -> None:
     old experts frozen, and phase 2 freezes the gates and trains every
     expert. Each group's flag is decided from its name.
     """
-    if phase not in (1, 2):
-        raise ConfigError(f"unknown phase {phase}")
     for name, group in model.params.items():
         if _is_backbone(name):
             trainable = False

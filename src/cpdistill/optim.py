@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
 from .tensor import Tensor
 
 __all__ = ["ParamGroup", "AdamW", "BETAS", "EPS"]
@@ -84,11 +83,6 @@ class AdamW:
             if grad is None:
                 continue
             p = g.tensor.data
-            if grad.shape != p.shape:
-                raise DimensionError(
-                    f"gradient shape {grad.shape} does not match group "
-                    f"{g.name} shape {p.shape}"
-                )
             self._state_for(g.name, p.shape, p.dtype)
             self.t[g.name] += 1
             tg = self.t[g.name]

@@ -7,10 +7,11 @@ and scaled to unit average norm, and the Gram matrix L = V V^T feeds the
 selector. Selection strategies: greedy MAP for a determinantal point
 process (log-det gain), and seeded random as its ablation. Each selection
 is recorded as a `SelectionAudit`; `write_audits` and `read_audits` keep a
-run's audits in a stage's ``audits.tsv``. A malformed pool raises
-InputError, and an unsatisfiable request ConfigError. The replay buffer is
-the list of chosen trajectories in selection order; its budget is a
-`ProtocolConfig` rule.
+run's audits in a stage's ``audits.tsv``. A pool is one task's teacher
+trajectories, all of the suite's horizon, and `ProtocolConfig` keeps each
+request within it: a known strategy, and 1 <= m <= the pool's size when
+replay selects at all. The replay buffer is the list of chosen
+trajectories in selection order; its budget is a `ProtocolConfig` rule.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import seeds
 from .checkpoint import read_record, table, write_table
-from .errors import ConfigError, InputError
 
 __all__ = [
     "SelectionAudit",
@@ -44,8 +44,6 @@ def featurize(traj) -> np.ndarray:
     multiple of SLICE_LEN."""
     states = np.asarray(traj.states, dtype=np.float64)[: len(traj.actions)]
     h = states.shape[0]
-    if h == 0 or h % SLICE_LEN != 0:
-        raise InputError(f"horizon {h} is not a positive multiple of slice length {SLICE_LEN}")
     return states.reshape(h // SLICE_LEN, SLICE_LEN, -1).mean(axis=1).reshape(-1)
 
 
@@ -61,9 +59,6 @@ def preprocess_features(features: np.ndarray) -> np.ndarray:
 
 def build_kernel(features) -> np.ndarray:
     """The symmetrized Gram matrix L = V V^T of the feature rows."""
-    dims = {np.asarray(f).shape for f in features}
-    if len(dims) != 1:
-        raise InputError(f"feature dimensions differ across the pool: {dims}")
     v = np.asarray(features, dtype=np.float64)
     l = v @ v.T
     return (l + l.T) / 2.0
@@ -125,17 +120,13 @@ def select(
     strategy: str,
     seed: int = 0,
 ) -> list[int]:
-    """Pick m pool indices. Deterministic for a given seed and strategy."""
+    """Pick m pool indices, by seeded ``random`` choice or else greedy DPP.
+    Deterministic for a given seed and strategy."""
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    if not 1 <= m <= n:
-        raise ConfigError(f"cannot select m={m} from a pool of {n}")
     if strategy == "random":
         rng = seeds.rng(seed)
-        return [int(i) for i in rng.choice(n, size=m, replace=False)]
-    if strategy == "dpp":
-        return _greedy_dpp(build_kernel(features), m)
-    raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+        return [int(i) for i in rng.choice(features.shape[0], size=m, replace=False)]
+    return _greedy_dpp(build_kernel(features), m)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +178,6 @@ def select_replay(
 ) -> tuple[list, SelectionAudit]:
     """Full pipeline for one task: featurize, preprocess, select, audit."""
     feats = [featurize(t) for t in trajs]
-    if len({f.shape for f in feats}) != 1:
-        raise InputError("mixed horizons in one selection pool")
     prepped = preprocess_features(np.stack(feats))
     idx = select(prepped, m, strategy=strategy, seed=seed)
     log_det = subset_log_det(build_kernel(prepped), idx)

@@ -46,8 +46,9 @@ def render_report(run_dir) -> Path:
     """Render ``run_dir/report`` from a finished (or partial) run. Raises
     `StateError`, writing nothing, when the run has neither a complete stage
     nor a `metrics.tsv`, or a record it reads is damaged: ``config.json``
-    holds no JSON object or an unknown strategy, or the stage's
-    ``metrics.tsv`` or ``contexts.tsv`` does not parse."""
+    holds no JSON object or an unknown strategy, the ``metrics.tsv`` breaks
+    its reader's row rule (`cpdistill.checkpoint`), or the stage's
+    ``contexts.tsv`` does not parse."""
     run_dir = Path(run_dir)
     done = completed_stages(run_dir)
     last = run_dir / f"stage_{done[-1]}" if done else None

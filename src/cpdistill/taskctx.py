@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import read_record, table, write_table
-from .errors import DimensionError, InputError
 from .optim import ParamGroup
 from .tensor import Tensor
 
@@ -38,8 +37,6 @@ def traj_stats(traj, n_chunks: int) -> np.ndarray:
     actions = np.asarray(traj.actions, dtype=np.float64)
     rewards = np.asarray(traj.rewards, dtype=np.float64)
     states = np.asarray(traj.states, dtype=np.float64)[: len(actions)]
-    if len(actions) == 0:
-        raise InputError("cannot featurize an empty trajectory")
     parts = []
     for chunk in np.array_split(np.arange(len(actions)), n_chunks):
         if chunk.size == 0:
@@ -83,10 +80,6 @@ class TaskEncoder:
     def encode(self, stats: np.ndarray) -> Tensor:
         """(B, input_dim) statistics -> (B, embed_dim) unit-norm embeddings."""
         stats = np.atleast_2d(np.asarray(stats, dtype=self.dtype))
-        if stats.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"encoder expects width {self.input_dim}, got {stats.shape[1]}"
-            )
         h = T.gelu(Tensor(stats) @ self._w1.tensor + self._b1.tensor)
         z = h @ self._w2.tensor + self._b2.tensor
         norm = T.sqrt(T.tsum(z * z, axis=1, keepdims=True) + 1e-12)
@@ -104,21 +97,17 @@ def infonce_loss(batch: ContrastiveBatch) -> Tensor:
     """Mean over anchors of -log( sum_pos exp(sim/tau) / sum_others exp(sim/tau) ).
 
     Similarity is cosine (embeddings are unit-norm, so a plain dot product).
-    Anchors without an in-batch positive are excluded; if none remain the
-    batch is unusable.
+    Anchors without an in-batch positive are excluded; the batch must hold
+    at least one positive pair, as each one the training step draws does.
     """
     z = batch.embeddings
     labels = np.asarray(batch.labels)
     n = z.shape[0]
-    if n < 2:
-        raise InputError("contrastive batch needs at least two samples")
     same = labels[:, None] == labels[None, :]
     eye = np.eye(n, dtype=bool)
     pos_mask = (same & ~eye).astype(np.float64)
     cand_mask = (~eye).astype(np.float64)
     included = np.nonzero(pos_mask.any(axis=1))[0]
-    if included.size == 0:
-        raise InputError("no anchor has an in-batch positive")
 
     sims = z @ T.transpose(z, (1, 0))
     scaled = sims * (1.0 / batch.temperature)
@@ -136,9 +125,8 @@ def infonce_loss(batch: ContrastiveBatch) -> Tensor:
 def task_context_for(
     encoder: TaskEncoder, support_trajs: list, n_chunks: int
 ) -> np.ndarray:
-    """Renormalized mean of the support trajectories' embeddings."""
-    if not support_trajs:
-        raise InputError("task context requires at least one support trajectory")
+    """Renormalized mean of the (one or more) support trajectories'
+    embeddings."""
     stats = np.stack([traj_stats(t, n_chunks) for t in support_trajs])
     with T.no_grad():
         z = encoder.encode(stats).data
@@ -158,21 +146,15 @@ class ContextProvider:
     cache: dict = field(default_factory=dict)
 
     def set_support(self, task_id: str, trajs: list) -> None:
-        if not trajs:
-            raise InputError(f"no support trajectories for task {task_id}")
         self.support[task_id] = list(trajs)
 
     def refresh(self, task_ids) -> None:
         for tid in task_ids:
-            if tid not in self.support:
-                raise InputError(f"no support trajectories for task {tid}")
             self.cache[tid] = task_context_for(
                 self.encoder, self.support[tid], self.n_chunks
             )
 
     def get(self, task_id: str) -> np.ndarray:
-        if task_id not in self.cache:
-            raise InputError(f"no cached context for task {task_id}")
         return self.cache[task_id]
 
     def context_matrix(self, task_ids) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import seeds as seeding  # `seeds` names episode seeds here
 from .checkpoint import json_lines, read_record, write_json_lines
-from .errors import ConfigError, StateError
+from .errors import StateError
 
 __all__ = [
     "OBS_DIM",
@@ -165,9 +165,7 @@ def task_target(spec: TaskSpec, goals: np.ndarray) -> np.ndarray:
         return -goals
     if spec.target_mode == "half":
         return 0.5 * goals
-    if spec.target_mode == "mirror":
-        return goals * _MIRROR
-    raise ConfigError(f"unknown target mode {spec.target_mode}")
+    return goals * _MIRROR  # "mirror", the last of the suite's modes
 
 
 def initial_state(spec: TaskSpec, seed: int) -> np.ndarray:
@@ -224,7 +222,7 @@ def expert_action(spec: TaskSpec, states: np.ndarray) -> np.ndarray:
 def rollout(
     spec: TaskSpec, policy, seeds, noise_std: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Step one episode per seed, all in lockstep.
+    """Step one episode per seed (at least one), all in lockstep.
 
     Episode i starts at ``initial_state(spec, seeds[i])`` and draws its
     action noise from its own generator, keyed ``(seeds[i], NOISE)`` in the
@@ -235,8 +233,6 @@ def rollout(
     ACTION_DIM), rewards (n, H) and whether each episode ended within the
     success threshold of its target."""
     seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("a rollout needs at least one episode")
     n, horizon = len(seeds), spec.horizon
     states = np.empty((n, horizon + 1, OBS_DIM))
     states[:, 0] = [initial_state(spec, seed) for seed in seeds]

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from cpdistill import tensor as T
-from cpdistill.errors import InputError, NumericError
+from cpdistill.errors import NumericError
 from cpdistill.optim import AdamW, ParamGroup
 from cpdistill.taskctx import traj_stats
 from cpdistill.tensor import Tensor
@@ -106,9 +106,9 @@ def exact_dpp(L: np.ndarray, m: int) -> list[int]:
 def check_kernel(L: np.ndarray, sym_tol: float = 1e-10, psd_tol: float = -1e-8) -> None:
     """A DPP kernel must be symmetric and positive semidefinite."""
     if not np.allclose(L, L.T, atol=sym_tol, rtol=0):
-        raise InputError("kernel is not symmetric")
+        raise AssertionError("kernel is not symmetric")
     if np.linalg.eigvalsh(L).min() < psd_tol:
-        raise InputError("kernel is not positive semidefinite")
+        raise AssertionError("kernel is not positive semidefinite")
 
 
 def predict_one(model, window: np.ndarray, z: np.ndarray) -> np.ndarray:

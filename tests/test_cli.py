@@ -366,9 +366,10 @@ def test_a_stage_of_another_model_config_is_refused(tmp_path, capsys):
     assert main(["eval", "--stage", "2", "--out", str(run_dir)]) == 0
 
 
-def _finished(tmp_path_factory, strategy):
+def _finished(tmp_path_factory, strategy, n_stages=2):
     root = tmp_path_factory.mktemp(f"finished_{strategy}")
-    cfg = ProtocolConfig.from_dict({**tiny_cli_config().to_dict(), "strategy": strategy})
+    cfg = ProtocolConfig.from_dict(
+        {**tiny_cli_config().to_dict(), "strategy": strategy, "n_stages": n_stages})
     save_config(root / "config.json", cfg)
     assert main(["distill", "--config", str(root / "config.json"), "--seed", "3",
                  "--out", str(root / "run")]) == 0
@@ -385,6 +386,13 @@ def finished_run(tmp_path_factory):
 def finished_ewc_run(tmp_path_factory):
     """The same run under ``ewc``, whose stage 1 also holds ``fisher/``."""
     return _finished(tmp_path_factory, "ewc")
+
+
+@pytest.fixture(scope="module")
+def three_stage_runs(tmp_path_factory):
+    """Finished 3-stage ``ours`` and ``independent`` runs, for tests to cut
+    back to stage 2 and damage."""
+    return {s: _finished(tmp_path_factory, s, n_stages=3) for s in ("ours", "independent")}
 
 
 def _drop(key):
@@ -516,3 +524,46 @@ def test_an_ewc_stage_without_its_fisher_is_refused(finished_ewc_run, tmp_path, 
         assert captured.out == ""
         assert f"StateError: {run_dir / 'stage_1'} has no fisher/" in captured.err
         assert tree_bytes(run_dir) == before
+
+
+def _blank_first_rate(text):
+    """A ``metrics.tsv`` text whose stage-1 rate of the first task is NaN."""
+    header, intro, row_1, *rest = text.splitlines(keepends=True)
+    stage, _, *others = row_1.split("\t")
+    return "".join([header, intro, "\t".join([stage, "nan", *others]), *rest])
+
+
+def _rate_before_its_stage(text):
+    """A ``metrics.tsv`` text whose stage-1 row rates the last task, which a
+    later stage introduces."""
+    header, intro, row_1, *rest = text.splitlines(keepends=True)
+    return "".join([header, intro, row_1[:row_1.rindex("\t")] + "\t0.5\n", *rest])
+
+
+@pytest.mark.parametrize("command", ["report", "eval", "distill"])
+@pytest.mark.parametrize("damage", [_blank_first_rate, _rate_before_its_stage],
+                         ids=["blanked rate", "rate before its stage"])
+@pytest.mark.parametrize("strategy", ["ours", "independent"])
+def test_a_metrics_row_unlike_a_runs_is_refused_before_any_training(
+    three_stage_runs, tmp_path, capsys, strategy, damage, command
+):
+    # a crash in stage 3 leaves stage 2 the newest complete stage, which
+    # report renders, eval rescores and distill continues from
+    run = three_stage_runs[strategy]
+    run_dir = shutil.copytree(run / "run", tmp_path / "run")
+    shutil.rmtree(run_dir / "stage_3")
+    (run_dir / "metrics.tsv").unlink()
+    path = run_dir / "stage_2" / "metrics.tsv"
+    path.write_text(damage(path.read_text()))
+    before = tree_bytes(run_dir)
+    args = {
+        "report": [],
+        "eval": ["--stage", "2"],
+        "distill": ["--config", str(run / "config.json"), "--seed", "3"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"StateError: {path} is damaged" in captured.err
+    assert tree_bytes(run_dir) == before  # distill wrote no stage_3/

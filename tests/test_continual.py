@@ -20,7 +20,7 @@ from cpdistill.continual import (
     open_stage,
     run_protocol,
 )
-from cpdistill.errors import ConfigError, InputError, StateError
+from cpdistill.errors import ConfigError
 from cpdistill.metrics import accuracy, bwt
 from cpdistill.model import ModelConfig, StudentModel
 from cpdistill.teachers import TeacherPolicy, collect, make_task_stream
@@ -90,9 +90,6 @@ def test_distill_loss_values():
     with_aux = distill_loss(model, windows, ctx, np.array([[1.0, 0.0]]), lam=0.01)
     assert with_aux.item() >= loss.item()
 
-    with pytest.raises(InputError):
-        distill_loss(model, np.zeros((0, 5, 4)), ctx[:0], np.zeros((0, 2)), 0.0)
-
 
 def test_estimate_fisher():
     model = small_model()
@@ -109,9 +106,6 @@ def test_estimate_fisher():
     flat = [SimpleNamespace(windows=windows, contexts=ctx, targets=mu.data)]
     fisher0 = estimate_fisher(model, flat)
     assert all(np.allclose(f, 0.0, atol=1e-20) for f in fisher0.values())
-
-    with pytest.raises(InputError):
-        estimate_fisher(model, [])
 
 
 def test_fisher_constant_gradient_oracle():
@@ -175,9 +169,6 @@ def test_kl_penalty_values():
     assert val == pytest.approx(0.5, abs=1e-12)
     val_wide = kl_penalty(model, twin, windows, ctx, sigma0=1e6).item()
     assert val_wide < 1e-9
-
-    with pytest.raises(StateError):
-        kl_penalty(model, None, windows, ctx, 1.0)
 
 
 def test_dataset_buckets_and_full_pass():
@@ -675,11 +666,3 @@ def test_kl_snapshot_only_before_a_later_stage(monkeypatch):
     cfg = tiny_protocol(strategy="kl", epochs_stage1=1, epochs_later=1, replay_m=0)
     _, runner = run_protocol(cfg, seed=13)
     assert len(clones) == 1 and runner.prev_model is not None
-
-
-def test_one_input_error_class():
-    from cpdistill import taskctx
-
-    assert continual.InputError is taskctx.InputError
-    with pytest.raises(taskctx.InputError):
-        distill_loss(small_model(), np.zeros((0, 5, 4)), np.zeros((0, 16)), np.zeros((0, 2)), 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpdistill import tensor as T
-from cpdistill.errors import ConfigError, InputError, StateError
+from cpdistill.errors import StateError
 from cpdistill.model import (
     ExpansionConfig,
     GatingStats,
@@ -60,8 +60,6 @@ def test_embed_produces_one_token_per_state():
     windows, z = probe(cfg, batch=2, t=7)
     tokens = model.embed_input(windows, z)
     assert tokens.shape == (2, 7, cfg.hidden_dim)
-    with pytest.raises(InputError):
-        model.embed_input(np.zeros((1, 11, cfg.obs_dim)), z[:1])
 
 
 def test_config_validation():
@@ -213,8 +211,6 @@ def test_predict_action_contract():
     out = predict_one(model4, w4[0], z4[0])
     assert out.shape == (4,)
     assert np.array_equal(out, predict_one(model4, w4[0], z4[0]))
-    with pytest.raises(InputError):
-        predict_one(model4, np.zeros((0, cfg4.obs_dim)), z4[0])
 
 
 def test_expansion_preserves_actions_with_masked_gate():
@@ -301,9 +297,6 @@ def test_mask_schedule():
     assert "blocks.0.gate.w" not in names
     assert "blocks.0.experts.0.w1" in names and "blocks.0.experts.2.w1" in names
     assert not any(".attn." in n for n in names)
-
-    with pytest.raises(ConfigError):
-        apply_mask_schedule(model, phase=3)
 
 
 def _group_grads(model, windows, z, targets, stats):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cpdistill.errors import ConfigError, InputError
 from cpdistill.replay import (
     build_kernel,
     featurize,
@@ -44,9 +43,6 @@ def test_featurize_dimensions():
     long = traj_with_states(rng.normal(size=(501, 4)))
     assert featurize(long).shape == (25 * 4,)
 
-    with pytest.raises(InputError):
-        featurize(traj_with_states(rng.normal(size=(42, 4))))
-
 
 def test_kernel_construction():
     eye = build_kernel(np.eye(3))
@@ -59,9 +55,7 @@ def test_kernel_construction():
     dup = build_kernel(np.array([[1.0, 2.0], [1.0, 2.0], [0.5, 0.1]]))
     assert subset_log_det(dup, [0, 1]) == -np.inf
 
-    with pytest.raises(InputError):
-        build_kernel([np.ones(3), np.ones(4)])
-    with pytest.raises(InputError):
+    with pytest.raises(AssertionError):
         check_kernel(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
@@ -79,19 +73,11 @@ def test_dpp_picks_largest_orthogonal_norms():
     assert set(exact_dpp(build_kernel(feats), 2)) == {0, 1}
 
 
-def test_select_m_equals_n_and_errors():
+def test_select_m_equals_n():
     feats = np.random.default_rng(1).normal(size=(4, 3))
     for strategy in ("dpp", "random"):
         assert sorted(select(feats, 4, strategy=strategy)) == [0, 1, 2, 3]
     assert sorted(exact_dpp(build_kernel(feats), 4)) == [0, 1, 2, 3]
-    with pytest.raises(ConfigError):
-        select(feats, 5, strategy="dpp")
-    with pytest.raises(ConfigError):
-        select(feats, 0, strategy="dpp")
-    with pytest.raises(ConfigError):
-        select(feats, 2, strategy="best")
-    with pytest.raises(ConfigError):
-        select(feats, 2, strategy="dpp_exact")
 
 
 def test_dpp_avoids_exact_duplicates():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cpdistill.continual import rollout_success_batch
-from cpdistill.errors import ConfigError
 from cpdistill.teachers import (
     ACTION_DIM,
     FAMILIES,
@@ -213,9 +212,6 @@ def test_collect_seeds_and_counts():
 
     assert len(collect(task, teacher, 131, base_seed=0)) == 131
 
-    with pytest.raises(ConfigError):
-        collect(task, teacher, 0, base_seed=0)
-
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.1])
 def test_collect_matches_per_episode_reference(noise_std):
@@ -266,8 +262,6 @@ def test_rollout_calls_the_policy_once_per_step_on_the_history():
     assert np.array_equal(states[:, 0], [initial_state(task, s) for s in seeds])
     assert np.all(states == states[:, :1])  # a zero policy never moves
     assert not success.any()
-    with pytest.raises(ConfigError):
-        rollout(task, policy, [])
 
 
 def student_like(seq_len, predict_batch):
