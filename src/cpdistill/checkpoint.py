@@ -14,24 +14,26 @@ Formats (the run-directory layout is in `cpdistill.continual`):
                     ``metrics.tsv``, ``contexts.tsv``, ``audits.tsv``,
                     ``routing_layer*.tsv``, and the report's ``summary.tsv``
                     and ``embedding_pca.tsv``.
-    checkpoint      a directory of two files (`save_groups`):
-                    manifest.json   {format, groups, extra}: the group table
-                                    [{name, dtype, shape, trainable, offset,
-                                    nbytes}] and the "extra" header
+    checkpoint      a directory of two files (`save_groups`) that hold
+                    named arrays:
+                    manifest.json   {format, groups, extra}: the array table
+                                    [{name, dtype, shape, offset, nbytes}]
+                                    and the "extra" header
                     params.bin      row-major little-endian values, one
-                                    contiguous segment per group at its
+                                    contiguous segment per array at its
                                     offset
                     ``model/``, ``optimizer/``, ``fisher/``.
 
 Checkpoint headers, parsed inside the reader of ``manifest.json``
-(`load_groups`): ``model/``'s holds the layout (model ``config``,
-``expert_counts``, ``new_expert_start``), ``optimizer/``'s only
-``{"optimizer": {"t": ...}}``, each moment group's step count (the learning
-rate is ``config.json``'s), and ``fisher/``'s nothing. A header that lacks a
-key or does not match its groups raises `StateError` naming the file, as
-does a model group not of the layout's dtype or a moment not of its
-group's; a header with more keys, such as an older model ``stage`` or
-optimizer ``lr``, loads.
+(`load_groups`): ``model/``'s holds the layout (model ``config`` and
+``expert_counts``), ``optimizer/``'s only ``{"optimizer": {"t": ...}}``,
+each moment group's step count (the learning rate is ``config.json``'s),
+and ``fisher/``'s nothing. A header that lacks a key or does not match its
+arrays raises `StateError` naming the file, as does a model group not of
+the layout's dtype or a moment not of its group's. A reader ignores what
+it does not read, so a record with more keys loads: a model header's older
+``stage`` or ``new_expert_start``, an optimizer header's ``lr``, an array
+entry's ``trainable``.
 
 `read_record` is the one reader: it applies the caller's parse to a file's
 text, or to its bytes, and turns a file that cannot be read (a record
@@ -45,10 +47,10 @@ Checks, by reader; each refusal is a `StateError` naming the file:
     json_object                 the text is one JSON object
     load_groups                 the manifest's format; its ``parse_extra``
                                 checks the header against the stored
-                                groups: ``model/``'s layout and dtype
+                                arrays: ``model/``'s layout and dtype
                                 (`StudentModel.load`), ``optimizer/``'s t
                                 and moments (`load_optimizer`), and
-                                ``fisher/``'s groups, which must be the
+                                ``fisher/``'s arrays, which must be the
                                 student's names, shapes and dtype
                                 (`ProtocolRunner.load_stage`)
     read_trajectories           each trajectory has the suite's shapes
@@ -61,10 +63,7 @@ Checks, by reader; each refusal is a `StateError` naming the file:
     load_contexts, read_audits  cells that parse as their fields
 
 `ProtocolRunner.load_stage` then holds each record of ``stage_k/`` to the
-run that reads it: ``state.json``'s types, strategy and seed, the tasks,
-introduction stages and rows of ``metrics.tsv``, the ids and width of
-``contexts.tsv``, the tasks and order of ``buffer.jsonl``, the model
-config, and that an ``ewc`` stage before the last holds ``fisher/``.
+run that reads it; `cpdistill.continual` lists those checks.
 """
 from __future__ import annotations
 
@@ -74,8 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StateError
-from .optim import AdamW, ParamGroup
-from .tensor import Tensor
+from .optim import AdamW
 
 __all__ = [
     "write_json", "write_json_lines", "write_table", "table_text",
@@ -162,34 +160,19 @@ def read_json_object(path) -> dict:
 # parameter checkpoints
 
 
-def _le_dtype(dtype: np.dtype) -> str:
-    kind = np.dtype(dtype)
-    if kind == np.float64:
-        return "<f8"
-    if kind == np.float32:
-        return "<f4"
-    raise StateError(f"unsupported checkpoint dtype {dtype}")
-
-
-def save_groups(path, groups: list[ParamGroup], extra: dict | None = None) -> None:
+def save_groups(path, arrays: dict[str, np.ndarray], extra: dict | None = None) -> None:
+    """Write ``arrays`` (name -> array, in order) and the header ``extra``
+    as a checkpoint in directory ``path``."""
     path = Path(path)
     entries = []
     blobs = []
     offset = 0
-    for g in groups:
-        raw = np.ascontiguousarray(g.tensor.data).astype(
-            _le_dtype(g.tensor.data.dtype), copy=False
-        )
-        buf = raw.tobytes()
+    for name, arr in arrays.items():
+        dtype = arr.dtype.newbyteorder("<").str
+        buf = arr.astype(dtype, copy=False).tobytes()
         entries.append(
-            {
-                "name": g.name,
-                "dtype": _le_dtype(g.tensor.data.dtype),
-                "shape": list(g.tensor.data.shape),
-                "trainable": bool(g.trainable),
-                "offset": offset,
-                "nbytes": len(buf),
-            }
+            {"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset,
+             "nbytes": len(buf)}
         )
         blobs.append(buf)
         offset += len(buf)
@@ -203,47 +186,46 @@ def _manifest(text: str, parse_extra) -> tuple[list, object]:
     if manifest.get("format") != _FORMAT:
         raise StateError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     entries = [
-        (e["name"], np.dtype(e["dtype"]), tuple(e["shape"]), e["trainable"], e["offset"])
+        (e["name"], np.dtype(e["dtype"]), tuple(e["shape"]), e["offset"])
         for e in manifest["groups"]
     ]
     return entries, parse_extra(manifest["extra"], {e[0]: (e[2], e[1]) for e in entries})
 
 
-def _params(blob: bytes, entries: list) -> list[ParamGroup]:
-    groups = []
-    for name, dtype, shape, trainable, offset in entries:
+def _arrays(blob: bytes, entries: list) -> dict[str, np.ndarray]:
+    arrays = {}
+    for name, dtype, shape, offset in entries:
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
-        arr = arr.astype(dtype.newbyteorder("="), copy=True)
-        groups.append(ParamGroup(name, Tensor(arr), trainable=trainable))
-    return groups
+        arrays[name] = arr.astype(dtype.newbyteorder("="), copy=True)
+    return arrays
 
 
-def load_groups(path, parse_extra=lambda extra, stored: extra) -> tuple[list[ParamGroup], object]:
-    """The groups of the checkpoint in directory ``path`` and its extra
-    header, as ``parse_extra(extra, stored)`` makes it inside the reader of
-    ``manifest.json``. ``stored`` maps each stored group's name to its
-    (shape, dtype), so that the parse can check the header against the
-    groups."""
+def load_groups(path, parse_extra=lambda extra, stored: extra) -> tuple[dict, object]:
+    """The arrays of the checkpoint in directory ``path`` (name -> array, in
+    stored order) and its extra header, as ``parse_extra(extra, stored)``
+    makes it inside the reader of ``manifest.json``. ``stored`` maps each
+    stored array's name to its (shape, dtype), so that the parse can check
+    the header against the arrays."""
     path = Path(path)
     entries, extra = read_record(path / "manifest.json", lambda t: _manifest(t, parse_extra))
-    groups = read_record(path / "params.bin", lambda b: _params(b, entries), binary=True)
-    return groups, extra
+    arrays = read_record(path / "params.bin", lambda b: _arrays(b, entries), binary=True)
+    return arrays, extra
 
 
 def save_optimizer(path, opt: AdamW) -> None:
-    """Moments are stored as pseudo-groups named <group>.m / <group>.v, in
-    the order of the optimizer's groups, not in the order the groups first
-    took a step."""
+    """Moments are stored as arrays named <group>.m / <group>.v, in the
+    order of the optimizer's groups, not in the order the groups first took
+    a step."""
     rank = {g.name: i for i, g in enumerate(opt.groups)}
-    moment_groups = []
+    moments = {}
     for name in sorted(opt.m, key=lambda n: rank.get(n, len(rank))):
-        moment_groups.append(ParamGroup(name + ".m", Tensor(opt.m[name]), trainable=False))
-        moment_groups.append(ParamGroup(name + ".v", Tensor(opt.v[name]), trainable=False))
-    save_groups(path, moment_groups, extra={"optimizer": {"t": opt.t}})
+        moments[name + ".m"] = opt.m[name]
+        moments[name + ".v"] = opt.v[name]
+    save_groups(path, moments, extra={"optimizer": {"t": opt.t}})
 
 
-def load_optimizer(path, groups: list[ParamGroup], lr: float) -> AdamW:
+def load_optimizer(path, groups: list, lr: float) -> AdamW:
     """The optimizer over ``groups`` saved in directory ``path``, at ``lr``;
     a moment smaller than its group grows at the group's next step."""
     specs = {g.name: (g.tensor.shape, g.tensor.dtype) for g in groups}
@@ -264,9 +246,9 @@ def load_optimizer(path, groups: list[ParamGroup], lr: float) -> AdamW:
                 raise StateError(f"{moment} is stored as {dtype.str}, its group as {kind.str}")
         return t
 
-    moment_groups, t = load_groups(path, counts)
+    moments, t = load_groups(path, counts)
     opt = AdamW(groups, lr, t=t)
-    for g in moment_groups:
-        store = opt.m if g.name.endswith(".m") else opt.v
-        store[g.name[:-2]] = g.tensor.data
+    for name, arr in moments.items():
+        store = opt.m if name.endswith(".m") else opt.v
+        store[name[:-2]] = arr
     return opt

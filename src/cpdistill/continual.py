@@ -30,7 +30,7 @@ Run directory (``out_dir``)
       audits.tsv            every replay selection so far
       fisher/               EWC's Fisher estimate, before a later stage only
       routing_layer*.tsv    per-layer expert loads on a fixed probe
-      state.json            stage, strategy, seed, global step
+      state.json            strategy, seed, global step
 
 Stage lifecycle
     `ProtocolRunner.run_stage` runs stage k in two parts. `train_stage`
@@ -101,7 +101,7 @@ from .model import (
     apply_mask_schedule,
     expand_experts,
 )
-from .optim import AdamW, ParamGroup
+from .optim import AdamW
 from .replay import SelectionAudit, select_replay, update_buffer
 from .replay import read_audits, write_audits
 from .seeds import EVAL as _EVAL, int_seed as _int_seed  # noqa: F401 (perfbench/desk_success.py)
@@ -239,7 +239,7 @@ def distill_loss(
 def estimate_fisher(model: StudentModel, batches, lam: float = 0.0) -> dict[str, np.ndarray]:
     """Diagonal Fisher surrogate: per-parameter mean squared gradient of the
     training loss over the given batches, of which there is at least one."""
-    trainable = [g for g in model.groups() if g.trainable]
+    trainable = [g for g in model.groups() if g.tensor.requires_grad]
     sums = {g.name: np.zeros_like(g.tensor.data) for g in trainable}
     count = 0
     for batch in batches:
@@ -609,21 +609,11 @@ class ProtocolRunner:
         write_contexts(d / "contexts.tsv", self.provider.cache, self.matrix.task_ids)
         write_audits(d / "audits.tsv", self.audits)
         if self.ewc_state is not None and k < self.config.n_stages:
-            save_groups(
-                d / "fisher",
-                [
-                    ParamGroup(name, Tensor(f), trainable=False)
-                    for name, f in self.ewc_state.fisher.items()
-                ],
-            )
+            save_groups(d / "fisher", self.ewc_state.fisher)
         self._write_routing(d)
-        state = {
-            "stage": k,
-            "global_step": self.global_step,
-            "strategy": self.config.strategy,
-            "seed": self.seed,
-        }
-        write_json(d / "state.json", state)
+        write_json(d / "state.json", {
+            "global_step": self.global_step, "strategy": self.config.strategy, "seed": self.seed,
+        })
 
     def _write_routing(self, d: Path) -> None:
         """Per-layer expert loads on a fixed probe: one full-length window
@@ -690,9 +680,8 @@ class ProtocolRunner:
             if self.traits.ewc:
                 _require((d / "fisher").exists(), d, f"has no fisher/, which ewc reads in stage {k + 1}")
                 specs = {g.name: (g.tensor.shape, g.tensor.dtype) for g in model.groups()}
-                groups, _ = load_groups(d / "fisher", lambda extra, stored: _require(
+                fisher, _ = load_groups(d / "fisher", lambda extra, stored: _require(
                     stored == specs, "its groups", "are not the student's names, shapes and dtype"))
-                fisher = {g.name: g.tensor.data for g in groups}
             self._carry(fisher)
 
 

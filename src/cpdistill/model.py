@@ -429,30 +429,28 @@ class StudentModel:
     # persistence
 
     def _layout(self) -> dict:
-        """The checkpoint header's record of the layout; `_restore` reads it."""
-        return {
-            "config": asdict(self.config),
-            "expert_counts": self.expert_counts,
-            "new_expert_start": list(self.new_expert_start),
-        }
+        """The checkpoint header's record of the layout; `_skeleton` reads it."""
+        return {"config": asdict(self.config), "expert_counts": self.expert_counts}
 
     def save(self, path) -> None:
-        save_groups(path, self.groups(), extra=self._layout())
+        save_groups(path, {n: g.tensor.data for n, g in self.params.items()}, extra=self._layout())
 
     @classmethod
     def load(cls, path) -> tuple["StudentModel", dict]:
         """The student saved in directory ``path``, and its layout. A header
         that lacks a layout key, or a layout that does not match the stored
         groups' names, shapes or dtype, raises `StateError` naming the
-        checkpoint's manifest.json."""
-        groups, model = load_groups(path, cls._skeleton)
-        model._fill({g.name: g for g in groups})
+        checkpoint's manifest.json. Every group of the loaded student
+        trains, and none of its experts is new, until `expand_experts` and
+        `apply_mask_schedule` set up the next stage."""
+        arrays, model = load_groups(path, cls._skeleton)
+        model._fill(arrays)
         return model, model._layout()
 
     def clone(self) -> "StudentModel":
-        stored = {n: (g.tensor.shape, g.tensor.dtype) for n, g in self.params.items()}
-        twin = self._skeleton(self._layout(), stored)
-        twin._fill(self.params)
+        arrays = {n: g.tensor.data.copy() for n, g in self.params.items()}
+        twin = self._skeleton(self._layout(), {n: (a.shape, a.dtype) for n, a in arrays.items()})
+        twin._fill(arrays)
         return twin
 
     @classmethod
@@ -460,14 +458,13 @@ class StudentModel:
         """A model of ``layout`` whose groups must have exactly the names,
         shapes and dtype in ``stored`` (name -> (shape, dtype)); its values
         are `_fill`'s to set."""
-        missing = {"config", "expert_counts", "new_expert_start"} - set(layout)
+        missing = {"config", "expert_counts"} - set(layout)
         if missing:
             raise StateError(f"the layout lacks {sorted(missing)}")
         unknown = set(layout["config"]) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise StateError(f"the layout has unknown model config keys: {sorted(unknown)}")
         model = cls(ModelConfig(**layout["config"]), seed=0, expert_counts=layout["expert_counts"])
-        model.new_expert_start = list(layout["new_expert_start"])
         shapes = {n: g.tensor.shape for n, g in model.params.items()}
         if {n: shape for n, (shape, _) in stored.items()} != shapes:
             raise StateError("the groups do not match the model layout")
@@ -477,11 +474,10 @@ class StudentModel:
                                  f"not the layout's {model.config.dtype}")
         return model
 
-    def _fill(self, groups: dict[str, ParamGroup]) -> None:
-        """Copy the values and the trainability of ``groups``."""
+    def _fill(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take each group's values from ``arrays`` (name -> array)."""
         for name, group in self.params.items():
-            group.tensor.data = groups[name].tensor.data.copy()
-            group.set_trainable(groups[name].trainable)
+            group.tensor.data = arrays[name]
 
 
 # ---------------------------------------------------------------------------
@@ -561,4 +557,4 @@ def apply_mask_schedule(model: StudentModel, phase: int) -> None:
             trainable = phase == 2 or int(i) >= model.new_expert_start[int(l)]
         else:  # the task encoder
             trainable = True
-        group.set_trainable(trainable)
+        group.tensor.requires_grad = trainable

@@ -18,23 +18,15 @@ EPS = 1e-8
 
 @dataclass
 class ParamGroup:
-    """A named parameter tensor plus its trainability flag.
-
-    The flag and ``tensor.requires_grad`` are kept in sync through
-    ``set_trainable``; a frozen group's values are bit-identical before and
-    after any optimizer step.
-    """
+    """A named parameter tensor. It trains while ``tensor.requires_grad`` is
+    set, as it is for a new group; a frozen group's values are bit-identical
+    before and after any optimizer step."""
 
     name: str
     tensor: Tensor
-    trainable: bool = True
 
     def __post_init__(self):
-        self.tensor.requires_grad = self.trainable
-
-    def set_trainable(self, flag: bool) -> None:
-        self.trainable = bool(flag)
-        self.tensor.requires_grad = self.trainable
+        self.tensor.requires_grad = True
 
 
 @dataclass
@@ -77,10 +69,8 @@ class AdamW:
         ``.grad``; a group with no gradient is skipped."""
         b1, b2 = BETAS
         for g in self.groups:
-            if not g.trainable:
-                continue
             grad = g.tensor.grad
-            if grad is None:
+            if not g.tensor.requires_grad or grad is None:
                 continue
             p = g.tensor.data
             self._state_for(g.name, p.shape, p.dtype)

@@ -12,6 +12,15 @@ trajectories, all of the suite's horizon, and `ProtocolConfig` keeps each
 request within it: a known strategy, and 1 <= m <= the pool's size when
 replay selects at all. The replay buffer is the list of chosen
 trajectories in selection order; its budget is a `ProtocolConfig` rule.
+
+Greedy DPP picks at most as many trajectories by gain as the feature
+matrix has rank. An observation is (position, goal), and the goal is fixed
+for an episode, so its mean fills the same two columns in both slices: on
+the desk config's 30 teacher pools (stream seeds 0-2, 10 tasks each, 96
+episodes per pool) every feature matrix had rank 6 of its 8 columns, and
+greedy DPP made exactly 6 picks by log-det gain. At the default
+``replay_m`` of 8, the max-min fallback in `_greedy_dpp` makes the last 2
+picks of each task.
 """
 from __future__ import annotations
 

@@ -34,49 +34,10 @@ Across a change to the command line, run each tree's own copy of this
 script (the parent's on the parent, this one on the change), then ``diff
 -r`` the run directories and compare the exit code and stdout of every
 ``eval`` and ``report`` in the two commands.txt files; the command lines,
-and so commands.txt as a whole, differ by design. Before ``eval`` lost its
-``--config`` and ``--seed`` and ``distill`` its ``--resume``, the cut-back
-copies were continued with ``distill --resume``, and neither the second
-``distill`` nor the refused one was run.
+and so commands.txt as a whole, differ by design. A change that moves
+bytes on purpose records the diff it expects in its ``CHANGES.md`` entry.
 
-Across the change that made the point-mass suite and the aux-loss weight
-constants, each run directory's ``config.json`` and ``report/config.json``
-differ by design: the parent's hold the two lines ``"lambda_schedule": {},``
-and ``"suite": {},``, which the change no longer writes. Every other file,
-``commands.txt`` included, is compared as usual. Across the change that
-made ``weight_decay``, ``infonce_tau``, ``infonce_trajs``, ``ewc_batches``
-and the ``expansion`` section constants, the same two files differ by the
-five lines that hold those keys, which the change no longer writes, and by
-the comma after ``"teacher_noise": 0.0``, which ``weight_decay`` followed.
-Across the change that made AdamW's betas and eps constants and dropped
-its weight decay and step count, each ``stage_k/model/manifest.json``
-differs by its ``"stage": k`` line and the comma before it, and each
-``stage_k/optimizer/manifest.json`` header keeps only ``t``: the lines of
-``betas``, ``eps``, ``lr``, ``step_count`` and ``weight_decay`` go, with
-the comma after the ``t`` object. Every ``params.bin``, every other file
-and ``commands.txt`` are compared as usual.
-Across the change that made float32 the student's default dtype, every
-``params.bin`` holds the same groups in half the bytes, and every
-checkpoint ``manifest.json`` (``model/``, ``optimizer/``, ``fisher/``)
-differs in each group's ``dtype`` (``<f4``), ``offset`` and ``nbytes``
-(halved), and in the model header's ``"dtype": "float32"``. Each
-``contexts.tsv`` and each report's ``embeddings.tsv`` and
-``embedding_pca.tsv`` differ in the last digits of their floats. Rounding
-moves a few tokens to another expert in the ``stream-ours`` and
-``rollout-sweep`` runs, so a few of their ``routing_layer*.tsv`` files and
-one expert's step count ``t`` in ``stream-ours``'s optimizer headers
-differ too. ``config.json``, ``commands.txt``, every ``metrics.tsv`` and
-every other file are compared as usual.
-Across the change that made the replay buffer a list, each
-``stage_k/state.json`` loses its ``"total_distill_seen": n`` line and the
-comma after the ``"strategy"`` line before it; every other file and
-``commands.txt`` are compared as usual. A run directory written before
-that change, whose ``state.json`` files still hold the count, continues,
-evaluates and reports as the change's own run does: its later stages, the
-output of every ``eval`` and ``report``, and the report's files are
-identical.
-
-One matrix took 90 s on an idle 2-core machine with one BLAS thread.
+One matrix took about 60 s on a 2-core machine with one BLAS thread.
 pytest does not collect this file.
 """
 from __future__ import annotations

@@ -38,7 +38,7 @@ def eval_with_gradients(
     loss.backward()
     grads: dict[str, np.ndarray] = {}
     for g in groups:
-        if not g.trainable:
+        if not g.tensor.requires_grad:
             continue
         grads[g.name] = (
             g.tensor.grad if g.tensor.grad is not None else np.zeros_like(g.tensor.data)
@@ -55,7 +55,7 @@ def finite_difference_grads(
     against. O(2 * n_params) evaluations; use small probes."""
     out: dict[str, np.ndarray] = {}
     for g in groups:
-        if not g.trainable:
+        if not g.tensor.requires_grad:
             continue
         data = g.tensor.data
         fd = np.zeros_like(data)
@@ -149,7 +149,7 @@ def _other_dtype_first(manifest: dict) -> None:
 # stores each group's moments as <group>.m and <group>.v, in group order.
 DAMAGED_HEADERS = [
     *(("model", lambda m, key=key: m["extra"].pop(key), f"no {key}")
-      for key in ("config", "expert_counts", "new_expert_start")),
+      for key in ("config", "expert_counts")),
     ("optimizer", lambda m: m["extra"]["optimizer"].pop("t"), "no t"),
     ("optimizer", lambda m: m["extra"]["optimizer"]["t"].update(nope=1), "t names differ"),
     ("optimizer", lambda m: m["groups"].pop(1), ".m without .v"),

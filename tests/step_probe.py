@@ -20,34 +20,33 @@ windows of 20 states), and ``desk_seq1``, the desk protocol at seq 1
 steps after two untimed ones, in milliseconds: ``fwd_ms`` builds the loss,
 ``bwd_ms`` sweeps it, ``adamw_ms`` updates, ``step_ms`` is their sum per
 step. ``--tiny`` runs a 16-wide student on small batches, as a smoke test.
-The probe sets one BLAS thread unless the environment sets another count.
+Importing `cpdistill` first sets one BLAS thread unless the environment sets
+another count.
 Its inputs are random and fixed by ``SEED``; no file is written.
 """
 from __future__ import annotations
 
+import cpdistill  # noqa: F401 (first: it sets the BLAS thread counts before numpy loads)
+
+import argparse
+import json
 import os
+import platform
+import statistics
+from time import perf_counter
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import numpy as np
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-from time import perf_counter  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from cpdistill.continual import INFONCE_TRAJS, aux_lambda, distill_loss  # noqa: E402
-from cpdistill.model import (  # noqa: E402
+from cpdistill.continual import INFONCE_TRAJS, aux_lambda, distill_loss
+from cpdistill.model import (
     ExpansionConfig,
     ModelConfig,
     StudentModel,
     apply_mask_schedule,
     expand_experts,
 )
-from cpdistill.optim import AdamW  # noqa: E402
-from cpdistill.taskctx import ContrastiveBatch, infonce_loss  # noqa: E402
+from cpdistill.optim import AdamW
+from cpdistill.taskctx import ContrastiveBatch, infonce_loss
 
 SEED = 2025
 LR = 1e-4

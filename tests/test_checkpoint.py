@@ -12,37 +12,35 @@ from cpdistill import tensor as T
 from cpdistill.checkpoint import (
     load_groups, load_optimizer, read_record, save_groups, save_optimizer, table, write_table,
 )
+from cpdistill.cli import main
+from cpdistill.config import ProtocolConfig
+from cpdistill.continual import ProtocolRunner, run_protocol
 from cpdistill.errors import StateError
 from cpdistill.model import ExpansionConfig, ModelConfig, StudentModel, expand_experts
 from cpdistill.optim import AdamW, ParamGroup
-from oracles import DAMAGED_HEADERS, step_with
+from oracles import DAMAGED_HEADERS, step_with, tree_bytes
 
 
-def random_groups(rng):
-    return [
-        ParamGroup("embed.w", T.Tensor(rng.normal(size=(7, 5))), trainable=True),
-        ParamGroup("blocks.0.gate.b", T.Tensor(rng.normal(size=(3,))), trainable=False),
-        ParamGroup(
-            "head.w",
-            T.Tensor(rng.normal(size=(5, 2)).astype(np.float32)),
-            trainable=True,
-        ),
-    ]
+def random_arrays(rng):
+    return {
+        "embed.w": rng.normal(size=(7, 5)),
+        "blocks.0.gate.b": rng.normal(size=(3,)),
+        "head.w": rng.normal(size=(5, 2)).astype(np.float32),
+    }
 
 
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(21)
-    groups = random_groups(rng)
+    arrays = random_arrays(rng)
     extra = {"stage": 3, "config": {"hidden_dim": 64}}
-    save_groups(tmp_path / "ck", groups, extra=extra)
+    save_groups(tmp_path / "ck", arrays, extra=extra)
     loaded, got_extra = load_groups(tmp_path / "ck")
     assert got_extra == extra
-    assert [g.name for g in loaded] == [g.name for g in groups]
-    for a, b in zip(groups, loaded):
-        assert a.trainable == b.trainable
-        assert a.tensor.data.dtype == b.tensor.data.dtype
-        assert np.array_equal(a.tensor.data, b.tensor.data)
-        assert (a.tensor.data.tobytes() == b.tensor.data.tobytes())
+    assert list(loaded) == list(arrays)
+    for name, a in arrays.items():
+        assert a.dtype == loaded[name].dtype
+        assert np.array_equal(a, loaded[name])
+        assert a.tobytes() == loaded[name].tobytes()
 
 
 def test_optimizer_round_trip(tmp_path):
@@ -91,27 +89,75 @@ def _edit_header(path, edit) -> None:
     (path / "manifest.json").write_text(json.dumps(manifest))
 
 
-def test_headers_of_the_previous_format_load(tmp_path):
-    # the previous format also wrote the model's stage, and the optimizer's
-    # lr, betas, eps, step count and weight decay
-    student, opt = _student_and_optimizer(tmp_path / "new", np.random.default_rng(23))
-    shutil.copytree(tmp_path / "new", tmp_path / "old")
-    _edit_header(tmp_path / "old" / "model", lambda m: m["extra"].update(stage=2))
-    _edit_header(tmp_path / "old" / "optimizer", lambda m: m["extra"]["optimizer"].update(
+def _previous_formats(stage_dir, model) -> None:
+    """Rewrite the records of ``stage_dir`` as earlier formats wrote them:
+    each array entry with a ``trainable`` flag (a group's as ``model``, the
+    student that wrote the stage, holds it; False for a moment or a Fisher
+    sum), the model header with the stage and ``new_expert_start``, the
+    optimizer header with its lr, betas, eps, step count and weight decay,
+    and ``state.json`` with the stage."""
+    k = int(stage_dir.name[len("stage_"):])
+
+    def flag(flags):
+        return lambda m: [e.update(trainable=flags.get(e["name"], False)) for e in m["groups"]]
+
+    _edit_header(stage_dir / "model", flag({n: g.tensor.requires_grad
+                                            for n, g in model.params.items()}))
+    _edit_header(stage_dir / "model", lambda m: m["extra"].update(
+        stage=k, new_expert_start=list(model.new_expert_start)))
+    _edit_header(stage_dir / "optimizer", flag({}))
+    _edit_header(stage_dir / "optimizer", lambda m: m["extra"]["optimizer"].update(
         lr=3e-4, betas=[0.9, 0.999], eps=1e-8, step_count=7, weight_decay=0.0))
-    states = []
-    for run in ("new", "old"):
-        model, _ = StudentModel.load(tmp_path / run / "model")
-        restored = load_optimizer(tmp_path / run / "optimizer", model.groups(), 3e-4)
-        states.append((
-            model._layout(),
-            {n: (g.tensor.data.tobytes(), g.trainable) for n, g in model.params.items()},
-            restored.lr,
-            restored.t,
-            {n: (restored.m[n].tobytes(), restored.v[n].tobytes()) for n in restored.m},
-        ))
-    assert states[0] == states[1]
-    assert states[0][0] == student._layout() and states[0][3] == opt.t
+    if (stage_dir / "fisher").exists():
+        _edit_header(stage_dir / "fisher", flag({}))
+    state = json.loads((stage_dir / "state.json").read_text())
+    (stage_dir / "state.json").write_text(json.dumps({**state, "stage": k}, indent=1,
+                                                     sort_keys=True))
+
+
+def test_headers_of_the_previous_format_load(tmp_path, capsys):
+    # a stage written in the earlier formats loads, continues and evaluates
+    # as the same stage in the current one: ours saves stage 2 under phase-2
+    # masks with new experts, ewc saves a Fisher estimate
+    for strategy in ("ours", "ewc"):
+        cfg = ProtocolConfig.from_dict(dict(
+            strategy=strategy, n_stages=3, tasks_per_stage=2, episodes_per_task=10,
+            support_episodes=3, eval_episodes=2, epochs_stage1=1, epochs_later=2, batch_size=64,
+            replay_m=1, model=dict(hidden_dim=16, depth=1, experts_per_layer=2, n_heads=2,
+                                   mlp_multiplier=2, encoder_hidden=8)))
+        new, old = tmp_path / strategy / "new", tmp_path / strategy / "old"
+        runner = ProtocolRunner(cfg, seed=23, out_dir=new)
+        for k in (1, 2):
+            runner.run_stage(runner.stage_config(k), runner.stream[k - 1])
+            shutil.copytree(new / f"stage_{k}", old / f"stage_{k}")
+            _previous_formats(old / f"stage_{k}", runner.model)
+        assert tree_bytes(old / "stage_2") != tree_bytes(new / "stage_2")
+
+        states = []
+        for run in (new, old):
+            model, layout = StudentModel.load(run / "stage_2" / "model")
+            restored = load_optimizer(run / "stage_2" / "optimizer", model.groups(), cfg.lr)
+            states.append((
+                layout,
+                {n: g.tensor.data.tobytes() for n, g in model.params.items()},
+                restored.lr,
+                restored.t,
+                {n: (restored.m[n].tobytes(), restored.v[n].tobytes()) for n in restored.m},
+            ))
+        assert states[0] == states[1]
+        assert states[0][0] == runner.model._layout() and states[0][3] == runner.optimizer.t
+
+        for run in (new, old):
+            run_protocol(cfg, 23, out_dir=run)
+        assert tree_bytes(old / "stage_3") == tree_bytes(new / "stage_3")
+        assert (old / "metrics.tsv").read_bytes() == (new / "metrics.tsv").read_bytes()
+        capsys.readouterr()
+        for k in (1, 2, 3):
+            printed = []
+            for run in (new, old):
+                assert main(["eval", "--out", str(run), "--stage", str(k)]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1], (strategy, k)
 
 
 # a damaged header is refused by the reader of its manifest.json, before

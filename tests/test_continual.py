@@ -358,7 +358,7 @@ def test_ours_expands_and_finetune_does_not():
     assert ft.model.expert_counts == [2]
     assert len(ft.audits) == 0
     assert len(ft.buffer) == 0
-    names = {n for n, g in ft.model.params.items() if g.trainable}
+    names = {n for n, g in ft.model.params.items() if g.tensor.requires_grad}
     assert names == set(ft.model.params)
 
 
@@ -528,23 +528,29 @@ def test_determinism_two_identical_runs(tmp_path):
         assert m1.rows[k].tobytes() == m2.rows[k].tobytes()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_resume_matches_straight_run(tmp_path, strategy):
+@pytest.mark.parametrize("strategy,n_stages,cut", [
+    *(pytest.param(s, 2, 1, id=s) for s in STRATEGIES),
+    *(pytest.param(s, 3, 2, id=f"{s}-cut 2 of 3") for s in STRATEGIES),
+])
+def test_resume_matches_straight_run(tmp_path, strategy, n_stages, cut):
     # a cut after stage 1 of 2 makes the resume load the stage-1 student,
-    # buffer, EWC Fisher and anchors or KL snapshot that stage 2 trains with
-    cfg = tiny_protocol(strategy=strategy, epochs_stage1=1, epochs_later=1)
+    # buffer, EWC Fisher and anchors or KL snapshot that stage 2 trains with;
+    # a cut after stage 2 of 3 loads a student that ours and expert_only saved
+    # under phase-2 masks, which the resumed stage 3 must set again
+    cfg = tiny_protocol(strategy=strategy, n_stages=n_stages, epochs_stage1=1, epochs_later=1)
     straight, _ = run_protocol(cfg, seed=10, out_dir=tmp_path / "full")
 
-    # the run as a crash in stage 2 leaves it
-    shutil.copytree(tmp_path / "full" / "stage_1", tmp_path / "part" / "stage_1")
+    # the run as a crash in stage cut + 1 leaves it
+    for k in range(1, cut + 1):
+        shutil.copytree(tmp_path / "full" / f"stage_{k}", tmp_path / "part" / f"stage_{k}")
     resumed = ProtocolRunner(cfg, seed=10, out_dir=tmp_path / "part")
     ran, run_stage = [], resumed.run_stage
     resumed.run_stage = lambda stage, specs: ran.append(stage.index) or run_stage(stage, specs)
     matrix = resumed.run()
-    assert ran == [2]  # the run continues after its complete stage 1
+    assert ran == list(range(cut + 1, n_stages + 1))  # it continues after stage cut
     for k in straight.stages():
         assert straight.rows[k].tobytes() == matrix.rows[k].tobytes()
-    for k in (1, 2):
+    for k in range(1, n_stages + 1):
         full = tree_bytes(tmp_path / "full" / f"stage_{k}")
         part = tree_bytes(tmp_path / "part" / f"stage_{k}")
         assert sorted(full) == sorted(part)

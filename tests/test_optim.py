@@ -42,7 +42,8 @@ def test_matches_reference_recurrence_over_steps():
 def test_frozen_group_bit_identical_after_training():
     rng = np.random.default_rng(8)
     w = ParamGroup("w", T.Tensor(rng.normal(size=(3, 3))))
-    frozen = ParamGroup("f", T.Tensor(rng.normal(size=(3, 3))), trainable=False)
+    frozen = ParamGroup("f", T.Tensor(rng.normal(size=(3, 3))))
+    frozen.tensor.requires_grad = False
     snapshot = frozen.tensor.data.copy()
     opt = AdamW([w, frozen], lr=1e-2)
     x = rng.normal(size=(5, 3))

@@ -249,7 +249,8 @@ def test_nonfinite_names_kernel():
 
 def test_frozen_groups_get_no_gradient_entry():
     x = param("x", 2.0)
-    frozen = ParamGroup("w", T.Tensor(3.0), trainable=False)
+    frozen = ParamGroup("w", T.Tensor(3.0))
+    frozen.tensor.requires_grad = False
     loss, grads = eval_with_gradients(lambda: x.tensor * frozen.tensor, [x, frozen])
     assert loss == 6.0
     assert "w" not in grads
