@@ -25,10 +25,11 @@ Formats (the run-directory layout is in `cpdistill.continual`):
                     ``model/``, ``optimizer/``, ``fisher/``.
 
 Checkpoint headers, parsed inside the reader of ``manifest.json``
-(`load_groups`): ``model/``'s holds the layout (model ``config`` and
-``expert_counts``), ``optimizer/``'s only ``{"optimizer": {"t": ...}}``,
-each moment group's step count (the learning rate is ``config.json``'s),
-and ``fisher/``'s nothing. A header that lacks a key or does not match its
+(`load_groups`): ``model/``'s holds the model ``config`` and
+``expert_counts``, from which `cpdistill.model._layout` lists the groups;
+``optimizer/``'s only ``{"optimizer": {"t": ...}}``, each moment group's
+step count (the learning rate is ``config.json``'s); and ``fisher/``'s
+nothing. A header that lacks a key or does not match its
 arrays raises `StateError` naming the file, as does a model group not of
 the layout's dtype or a moment not of its group's. A reader ignores what
 it does not read, so a record with more keys loads: a model header's older
@@ -47,8 +48,11 @@ Checks, by reader; each refusal is a `StateError` naming the file:
     json_object                 the text is one JSON object
     load_groups                 the manifest's format; its ``parse_extra``
                                 checks the header against the stored
-                                arrays: ``model/``'s layout and dtype
-                                (`StudentModel.load`), ``optimizer/``'s t
+                                arrays: ``model/``'s group names, shapes
+                                and dtype, against the layout its config
+                                and expert counts give
+                                (`cpdistill.model._parse_header`, behind
+                                `StudentModel.load`), ``optimizer/``'s t
                                 and moments (`load_optimizer`), and
                                 ``fisher/``'s arrays, which must be the
                                 student's names, shapes and dtype

@@ -616,8 +616,10 @@ class ProtocolRunner:
         })
 
     def _write_routing(self, d: Path) -> None:
-        """Per-layer expert loads on a fixed probe: one full-length window
-        per distill trajectory of the current stage."""
+        """Per-layer expert loads on a fixed probe: for each current task, in
+        task-id order, the first 16 of its distill trajectories, each cut to
+        its first ``seq_len`` states, beside the task's context. With the desk
+        config's 2 tasks per stage, at seq 1, that is 32 tokens per stage."""
         windows, zs = [], []
         for tid, trajs in sorted(self.stage_data.items()):
             z = self.provider.get(tid)

@@ -11,10 +11,15 @@ the last position only.
 Experts can be added at stage boundaries with noisy-copy weights and a
 strongly negative gate bias so routing is initially undisturbed. Stage 1
 trains a fresh student whole; from stage 2 on, a two-phase schedule decides
-each group's trainability from its name. The layout is recorded once: the
-groups by name in `params` (the MoE layers hold the same objects), the
-expert counts read from `layers`, and each layer's first new expert in
-`new_expert_start`.
+each group's trainability from its name. The layout is recorded once, in
+`_layout`: each group's name, shape, checkpoint order and initial value,
+the task encoder's four included. A new student draws its groups from it;
+`load` and `clone` assemble theirs from stored or copied arrays without a
+draw, `load`'s header parse checks a checkpoint against it, and
+`expand_experts` orders `params` by it. In memory the groups live by name
+in `params` (the MoE layers and the encoder hold the same objects), the
+expert counts are read from `layers`, and each layer's first new expert is
+in `new_expert_start`.
 Parameters and activations are float32 by default (`ModelConfig.dtype`);
 float64 stays selectable, and the gradient checks run in it.
 """
@@ -214,88 +219,90 @@ def aux_loss(stats: GatingStats, eps: float = 1e-9) -> Tensor:
     return (p_term + float(c_term)) * 0.5
 
 
+def _layout(config: ModelConfig, expert_counts: Sequence[int]):
+    """The student's layout, its one record: each group's name, shape and
+    initial value, in checkpoint order, for ``expert_counts[l]`` experts in
+    layer l. The initial value is the std of a seeded normal draw, or
+    `np.zeros` or `np.ones`; `StudentModel` draws the normal groups in this
+    order."""
+    d, width = config.hidden_dim, config.hidden_dim * config.mlp_multiplier
+    yield "embed.w", (config.input_width, d), 0.02
+    yield "embed.b", (d,), np.zeros
+    yield "pos", (config.seq_len, d), 0.02
+    for l in range(config.depth):
+        pre = f"blocks.{l}"
+        yield f"{pre}.ln1.g", (d,), np.ones
+        yield f"{pre}.ln1.b", (d,), np.zeros
+        for nm in ("wq", "wk", "wv", "wo"):
+            yield f"{pre}.attn.{nm}", (d, d), 0.02
+        for nm in ("bq", "bk", "bv", "bo"):
+            yield f"{pre}.attn.{nm}", (d,), np.zeros
+        yield f"{pre}.ln2.g", (d,), np.ones
+        yield f"{pre}.ln2.b", (d,), np.zeros
+        n_exp = expert_counts[l]
+        yield f"{pre}.gate.w", (d, n_exp), 0.02
+        yield f"{pre}.gate.b", (n_exp,), np.zeros
+        for i in range(n_exp):
+            yield f"{pre}.experts.{i}.w1", (d, width), 0.02
+            yield f"{pre}.experts.{i}.b1", (width,), np.zeros
+            yield f"{pre}.experts.{i}.w2", (width, d), 0.02
+            yield f"{pre}.experts.{i}.b2", (d,), np.zeros
+    yield "head.w", (d, config.action_dim), 0.02
+    yield "head.b", (config.action_dim,), np.zeros
+    stats_width = config.stats_chunks * (config.obs_dim + config.action_dim + 1)
+    yield "taskenc.w1", (stats_width, config.encoder_hidden), 0.1
+    yield "taskenc.b1", (config.encoder_hidden,), np.zeros
+    yield "taskenc.w2", (config.encoder_hidden, config.task_embed_dim), 0.1
+    yield "taskenc.b2", (config.task_embed_dim,), np.zeros
+
+
+def _expert(params: dict[str, ParamGroup], l: int, i: int) -> Expert:
+    return Expert(*(params[f"blocks.{l}.experts.{i}.{w}"] for w in ("w1", "b1", "w2", "b2")))
+
+
 class StudentModel:
     """Owner of all parameter groups, including the task-embedding encoder."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        seed: int = 0,
-        expert_counts: Sequence[int] | None = None,
-    ):
+    def __init__(self, config: ModelConfig, seed: int = 0):
+        rng = seeds.rng(seed, seeds.MODEL)
+        counts = [config.experts_per_layer] * config.depth
+        dtype = config.np_dtype
+        self._assemble(config, counts, {
+            name: init(shape, dtype) if callable(init)
+            else rng.normal(0.0, init, shape).astype(dtype)
+            for name, shape, init in _layout(config, counts)
+        })
+
+    def _assemble(self, config: ModelConfig, expert_counts: list[int], arrays: dict) -> None:
+        """Make the student of ``config`` with ``expert_counts`` whose groups
+        hold ``arrays`` (name -> array of the layout's shape and dtype)."""
         self.config = config
-        if expert_counts is None:
-            expert_counts = [config.experts_per_layer] * config.depth
         # first expert index considered "new" in the current stage, per layer
         self.new_expert_start = list(expert_counts)
-        self.params: dict[str, ParamGroup] = {}
-        rng = seeds.rng(seed, seeds.MODEL)
-        d = config.hidden_dim
-        self._add("embed.w", rng.normal(0.0, 0.02, (config.input_width, d)))
-        self._add("embed.b", np.zeros(d))
-        self._add("pos", rng.normal(0.0, 0.02, (config.seq_len, d)))
-        self.layers: list[MoELayer] = []
-        for l in range(config.depth):
-            pre = f"blocks.{l}"
-            self._add(f"{pre}.ln1.g", np.ones(d))
-            self._add(f"{pre}.ln1.b", np.zeros(d))
-            for nm in ("wq", "wk", "wv", "wo"):
-                self._add(f"{pre}.attn.{nm}", rng.normal(0.0, 0.02, (d, d)))
-            for nm in ("bq", "bk", "bv", "bo"):
-                self._add(f"{pre}.attn.{nm}", np.zeros(d))
-            self._add(f"{pre}.ln2.g", np.ones(d))
-            self._add(f"{pre}.ln2.b", np.zeros(d))
-            n_exp = expert_counts[l]
-            gate_w = self._add(f"{pre}.gate.w", rng.normal(0.0, 0.02, (d, n_exp)))
-            gate_b = self._add(f"{pre}.gate.b", np.zeros(n_exp))
-            width = d * config.mlp_multiplier
-            experts = [
-                self._make_expert(l, i, rng.normal(0.0, 0.02, (d, width)), np.zeros(width),
-                                  rng.normal(0.0, 0.02, (width, d)), np.zeros(d))
-                for i in range(n_exp)
-            ]
-            self.layers.append(MoELayer(gate_w, gate_b, experts))
-        self._add("head.w", rng.normal(0.0, 0.02, (d, config.action_dim)))
-        self._add("head.b", np.zeros(config.action_dim))
+        self.params = {
+            name: ParamGroup(name, Tensor(arrays[name]))
+            for name, _, _ in _layout(config, expert_counts)
+        }
+        p = self.params
+        self.layers = [
+            MoELayer(p[f"blocks.{l}.gate.w"], p[f"blocks.{l}.gate.b"],
+                     [_expert(p, l, i) for i in range(expert_counts[l])])
+            for l in range(config.depth)
+        ]
+        self.encoder = TaskEncoder(*(p[f"taskenc.{w}"] for w in ("w1", "b1", "w2", "b2")))
         self._masks: dict[int, np.ndarray] = {}
-        self.encoder = TaskEncoder(
-            input_dim=config.stats_chunks * (config.obs_dim + config.action_dim + 1),
-            hidden_dim=config.encoder_hidden,
-            embed_dim=config.task_embed_dim,
-            rng=rng,
-            dtype=config.np_dtype,
-        )
-        for g in self.encoder.groups:
-            self.params[g.name] = g
 
     @property
     def expert_counts(self) -> list[int]:
         return [layer.n_experts for layer in self.layers]
 
-    def _add(self, name: str, data: np.ndarray) -> ParamGroup:
-        group = ParamGroup(name, Tensor(np.asarray(data, dtype=self.config.np_dtype)))
-        self.params[name] = group
-        return group
-
-    def _make_expert(
-        self, layer: int, idx: int,
-        w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
-    ) -> Expert:
-        pre = f"blocks.{layer}.experts.{idx}"
-        return Expert(
-            self._add(f"{pre}.w1", w1),
-            self._add(f"{pre}.b1", b1),
-            self._add(f"{pre}.w2", w2),
-            self._add(f"{pre}.b2", b2),
-        )
-
     # ------------------------------------------------------------------
     # forward paths
 
     def groups(self) -> list[ParamGroup]:
-        """Every group in the constructor's layout order, also after
-        `expand_experts`, so a checkpoint's bytes do not depend on how the
-        model came to its expert counts."""
+        """Every group in `_layout`'s order, also after `expand_experts`,
+        so a checkpoint's bytes do not depend on how the model came to its
+        expert counts."""
         return list(self.params.values())
 
     def embed_input(self, windows: np.ndarray, z: np.ndarray) -> Tensor:
@@ -428,56 +435,54 @@ class StudentModel:
     # ------------------------------------------------------------------
     # persistence
 
-    def _layout(self) -> dict:
-        """The checkpoint header's record of the layout; `_skeleton` reads it."""
+    def _header(self) -> dict:
+        """The checkpoint header: the model config and expert counts, which
+        `_layout` turns into the groups."""
         return {"config": asdict(self.config), "expert_counts": self.expert_counts}
 
     def save(self, path) -> None:
-        save_groups(path, {n: g.tensor.data for n, g in self.params.items()}, extra=self._layout())
+        save_groups(path, {n: g.tensor.data for n, g in self.params.items()}, extra=self._header())
 
     @classmethod
     def load(cls, path) -> tuple["StudentModel", dict]:
-        """The student saved in directory ``path``, and its layout. A header
-        that lacks a layout key, or a layout that does not match the stored
-        groups' names, shapes or dtype, raises `StateError` naming the
-        checkpoint's manifest.json. Every group of the loaded student
-        trains, and none of its experts is new, until `expand_experts` and
+        """The student saved in directory ``path``, and its header. A header
+        that lacks a key, or whose layout does not match the stored groups'
+        names, shapes or dtype, raises `StateError` naming the checkpoint's
+        manifest.json. Every group of the loaded student trains, and none
+        of its experts is new, until `expand_experts` and
         `apply_mask_schedule` set up the next stage."""
-        arrays, model = load_groups(path, cls._skeleton)
-        model._fill(arrays)
-        return model, model._layout()
+        arrays, (config, counts) = load_groups(path, _parse_header)
+        model = cls.__new__(cls)
+        model._assemble(config, counts, arrays)
+        return model, model._header()
 
     def clone(self) -> "StudentModel":
-        arrays = {n: g.tensor.data.copy() for n, g in self.params.items()}
-        twin = self._skeleton(self._layout(), {n: (a.shape, a.dtype) for n, a in arrays.items()})
-        twin._fill(arrays)
+        twin = type(self).__new__(type(self))
+        twin._assemble(self.config, self.expert_counts,
+                       {n: g.tensor.data.copy() for n, g in self.params.items()})
         return twin
 
-    @classmethod
-    def _skeleton(cls, layout: dict, stored: dict) -> "StudentModel":
-        """A model of ``layout`` whose groups must have exactly the names,
-        shapes and dtype in ``stored`` (name -> (shape, dtype)); its values
-        are `_fill`'s to set."""
-        missing = {"config", "expert_counts"} - set(layout)
-        if missing:
-            raise StateError(f"the layout lacks {sorted(missing)}")
-        unknown = set(layout["config"]) - {f.name for f in fields(ModelConfig)}
-        if unknown:
-            raise StateError(f"the layout has unknown model config keys: {sorted(unknown)}")
-        model = cls(ModelConfig(**layout["config"]), seed=0, expert_counts=layout["expert_counts"])
-        shapes = {n: g.tensor.shape for n, g in model.params.items()}
-        if {n: shape for n, (shape, _) in stored.items()} != shapes:
-            raise StateError("the groups do not match the model layout")
-        for name, (_, dtype) in stored.items():
-            if dtype != model.config.np_dtype:
-                raise StateError(f"group {name} is stored as {dtype.str}, "
-                                 f"not the layout's {model.config.dtype}")
-        return model
 
-    def _fill(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take each group's values from ``arrays`` (name -> array)."""
-        for name, group in self.params.items():
-            group.tensor.data = arrays[name]
+def _parse_header(header: dict, stored: dict) -> tuple[ModelConfig, list[int]]:
+    """The model config and expert counts of a checkpoint ``header`` whose
+    `_layout` has exactly the names, shapes and dtype in ``stored`` (name ->
+    (shape, dtype))."""
+    missing = {"config", "expert_counts"} - set(header)
+    if missing:
+        raise StateError(f"the layout lacks {sorted(missing)}")
+    unknown = set(header["config"]) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise StateError(f"the layout has unknown model config keys: {sorted(unknown)}")
+    config, counts = ModelConfig(**header["config"]), header["expert_counts"]
+    if {n: shape for n, (shape, _) in stored.items()} != {
+        name: shape for name, shape, _ in _layout(config, counts)
+    }:
+        raise StateError("the groups do not match the model layout")
+    for name, (_, dtype) in stored.items():
+        if dtype != config.np_dtype:
+            raise StateError(f"group {name} is stored as {dtype.str}, "
+                             f"not the layout's {config.dtype}")
+    return config, counts
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +496,23 @@ def expand_experts(model: StudentModel, cfg: ExpansionConfig, seed: int = 0) -> 
     weights plus Gaussian noise; the gate gains a noise-initialized column
     per new expert and a strongly negative bias entry so routing is
     initially undisturbed. The new experts become each layer's
-    `new_expert_start`; optimizer state for their groups starts at zero."""
-    if cfg.experts_added == 0:
-        return
+    `new_expert_start`; optimizer state for their groups starts at zero.
+    The layers' existing groups stay the same objects, which the optimizer
+    and the task encoder hold; `params` is reordered by `_layout`."""
     rng = seeds.rng(seed, seeds.EXPERTS)
+    d, dtype = model.config.hidden_dim, model.config.np_dtype
     for l, layer in enumerate(model.layers):
         n_old = layer.n_experts
         model.new_expert_start[l] = n_old
         for j in range(cfg.experts_added):
-            src = layer.experts[int(rng.integers(0, n_old))]
-            pieces = []
-            for g in (src.w1, src.b1, src.w2, src.b2):
-                data = g.tensor.data.copy()
+            src = f"blocks.{l}.experts.{int(rng.integers(0, n_old))}"
+            for w in ("w1", "b1", "w2", "b2"):
+                data = model.params[f"{src}.{w}"].tensor.data.copy()
                 if cfg.init_noise_std > 0:
                     data = data + rng.normal(0.0, cfg.init_noise_std, data.shape)
-                pieces.append(data)
-            layer.experts.append(model._make_expert(l, n_old + j, *pieces))
-        d, dtype = model.config.hidden_dim, model.config.np_dtype
+                name = f"blocks.{l}.experts.{n_old + j}.{w}"
+                model.params[name] = ParamGroup(name, Tensor(np.asarray(data, dtype=dtype)))
+            layer.experts.append(_expert(model.params, l, n_old + j))
         cols = rng.normal(0.0, cfg.gate_col_noise_std, (d, cfg.experts_added))
         layer.gate_w.tensor.data = np.concatenate(
             [layer.gate_w.tensor.data, cols.astype(dtype)], axis=1
@@ -516,15 +521,10 @@ def expand_experts(model: StudentModel, cfg: ExpansionConfig, seed: int = 0) -> 
             [layer.gate_b.tensor.data,
              np.full(cfg.experts_added, cfg.cold_start_bias, dtype=dtype)]
         )
-    # the constructor's layout: a stable sort keeps each block's experts in
-    # index order and everything else where the constructor put it
-    model.params = dict(sorted(model.params.items(), key=lambda kv: _layout_rank(kv[0])))
-
-
-def _layout_rank(name: str) -> int:
-    if name.startswith("blocks."):
-        return 1 + int(name.split(".")[1])
-    return 0 if name.startswith(("embed.", "pos")) else 1 << 30
+    # each block's new experts join it in `_layout`'s order
+    model.params = {
+        name: model.params[name] for name, _, _ in _layout(model.config, model.expert_counts)
+    }
 
 
 # ---------------------------------------------------------------------------

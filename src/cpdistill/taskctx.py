@@ -49,39 +49,19 @@ def traj_stats(traj, n_chunks: int) -> np.ndarray:
 
 class TaskEncoder:
     """Two-layer feed-forward encoder producing unit-norm embeddings, in the
-    student's ``dtype``."""
+    dtype of its groups. The student's layout (`cpdistill.model._layout`)
+    holds the four groups, ``taskenc.w1``, ``b1``, ``w2`` and ``b2``."""
 
-    def __init__(
-        self,
-        input_dim: int,
-        hidden_dim: int,
-        embed_dim: int,
-        *,
-        rng: np.random.Generator,
-        dtype,
-    ):
-        self.input_dim = input_dim
-        self.embed_dim = embed_dim
-        self.dtype = dtype
-        self.groups = [
-            ParamGroup(
-                "taskenc.w1",
-                Tensor(rng.normal(0.0, 0.1, (input_dim, hidden_dim)).astype(dtype)),
-            ),
-            ParamGroup("taskenc.b1", Tensor(np.zeros(hidden_dim, dtype=dtype))),
-            ParamGroup(
-                "taskenc.w2",
-                Tensor(rng.normal(0.0, 0.1, (hidden_dim, embed_dim)).astype(dtype)),
-            ),
-            ParamGroup("taskenc.b2", Tensor(np.zeros(embed_dim, dtype=dtype))),
-        ]
-        self._w1, self._b1, self._w2, self._b2 = self.groups
+    def __init__(self, w1: ParamGroup, b1: ParamGroup, w2: ParamGroup, b2: ParamGroup):
+        self.groups = [w1, b1, w2, b2]
+        self.input_dim = w1.tensor.shape[0]
 
     def encode(self, stats: np.ndarray) -> Tensor:
         """(B, input_dim) statistics -> (B, embed_dim) unit-norm embeddings."""
-        stats = np.atleast_2d(np.asarray(stats, dtype=self.dtype))
-        h = T.gelu(Tensor(stats) @ self._w1.tensor + self._b1.tensor)
-        z = h @ self._w2.tensor + self._b2.tensor
+        w1, b1, w2, b2 = (g.tensor for g in self.groups)
+        stats = np.atleast_2d(np.asarray(stats, dtype=w1.dtype))
+        h = T.gelu(Tensor(stats) @ w1 + b1)
+        z = h @ w2 + b2
         norm = T.sqrt(T.tsum(z * z, axis=1, keepdims=True) + 1e-12)
         return z / norm
 

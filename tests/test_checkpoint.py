@@ -145,7 +145,7 @@ def test_headers_of_the_previous_format_load(tmp_path, capsys):
                 {n: (restored.m[n].tobytes(), restored.v[n].tobytes()) for n in restored.m},
             ))
         assert states[0] == states[1]
-        assert states[0][0] == runner.model._layout() and states[0][3] == runner.optimizer.t
+        assert states[0][0] == runner.model._header() and states[0][3] == runner.optimizer.t
 
         for run in (new, old):
             run_protocol(cfg, 23, out_dir=run)

@@ -25,7 +25,7 @@ RAISED_AT = {
     # a run-record rule: the codec, the record parsers, the report's reads,
     # and continual's load path
     "StateError": {"checkpoint.py", "report.py", "metrics.py:MetricsMatrix._parse",
-                   "model.py:StudentModel._skeleton", "teachers.py:_trajectory",
+                   "model.py:_parse_header", "teachers.py:_trajectory",
                    "continual.py:ProtocolRunner.run", "continual.py:_require",
                    "continual.py:_stage_state", "continual.py:open_stage"},
     # the tensor kernels' shapes and values

@@ -440,10 +440,29 @@ def test_save_load_clone_round_trip(tmp_path):
     assert not np.array_equal(model.predict_batch(windows, z), twin.predict_batch(windows, z))
     assert twin.expert_counts == model.expert_counts
 
-    # clone checks the group names as load does
-    model.params["stray"] = ParamGroup("stray", Tensor(np.zeros(1)))
-    with pytest.raises(StateError, match="do not match"):
-        model.clone()
+
+def test_load_and_clone_draw_nothing(tmp_path, monkeypatch):
+    import cpdistill.seeds
+
+    model = StudentModel(tiny_config(depth=2), seed=47)
+    for k in range(2):
+        expand_experts(model, ExpansionConfig(), seed=k)
+    model.save(tmp_path / "m")
+
+    def no_draw(*key):
+        raise AssertionError(f"a random draw with key {key}")
+
+    monkeypatch.setattr(cpdistill.seeds, "rng", no_draw)
+    restored, _ = StudentModel.load(tmp_path / "m")
+    for twin in (restored, model.clone()):
+        assert list(twin.params) == list(model.params)
+        assert twin.expert_counts == model.expert_counts == [4, 4]
+        assert twin.new_expert_start == [4, 4]
+        for name, group in model.params.items():
+            data = twin.params[name].tensor.data
+            assert data.dtype == group.tensor.dtype
+            assert data.tobytes() == group.tensor.data.tobytes()
+        assert all(g is twin.params[g.name] for g in twin.encoder.groups)
 
 
 def test_load_rejects_unknown_config_keys(tmp_path):

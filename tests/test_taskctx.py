@@ -12,6 +12,7 @@ from cpdistill.taskctx import (
     task_context_for,
     traj_stats,
 )
+from cpdistill.optim import ParamGroup
 from cpdistill.tensor import Tensor
 from oracles import encode_trajectory, eval_with_gradients, finite_difference_grads
 
@@ -23,6 +24,17 @@ def fake_traj(seed=0, h=16, obs=4, act=2, reward_scale=1.0):
         actions=rng.normal(size=(h, act)),
         rewards=rng.normal(size=h) * reward_scale,
     )
+
+
+def make_encoder(rng, input_dim, hidden_dim, embed_dim):
+    """A float64 encoder whose weights are drawn from ``rng`` with std 0.1,
+    first w1 then w2, and whose biases are zero, as the student's are."""
+    shapes = {"w1": (input_dim, hidden_dim), "b1": (hidden_dim,),
+              "w2": (hidden_dim, embed_dim), "b2": (embed_dim,)}
+    return TaskEncoder(*(
+        ParamGroup(f"taskenc.{n}", Tensor(rng.normal(0.0, 0.1, s) if n[0] == "w" else np.zeros(s)))
+        for n, s in shapes.items()
+    ))
 
 
 def test_traj_stats_shape_and_reward_channel():
@@ -41,8 +53,7 @@ def test_traj_stats_shape_and_reward_channel():
 
 
 def test_encoder_outputs_unit_norm_and_pure():
-    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(5),
-                      dtype=np.float64)
+    enc = make_encoder(np.random.default_rng(5), input_dim=7 * 8, hidden_dim=64, embed_dim=16)
     traj = fake_traj(seed=2)
     z1 = encode_trajectory(enc, traj)
     z2 = encode_trajectory(enc, traj)
@@ -95,7 +106,7 @@ def test_infonce_permutation_invariant():
 
 def test_infonce_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
-    enc = TaskEncoder(input_dim=10, hidden_dim=6, embed_dim=5, rng=rng, dtype=np.float64)
+    enc = make_encoder(rng, input_dim=10, hidden_dim=6, embed_dim=5)
     stats = rng.normal(size=(4, 10))
     labels = np.array([0, 0, 1, 1])
 
@@ -139,8 +150,7 @@ def test_task_context_mean_semantics():
 
 
 def test_context_provider_cache_and_refresh():
-    enc = TaskEncoder(input_dim=7 * 8, hidden_dim=64, embed_dim=16, rng=np.random.default_rng(11),
-                      dtype=np.float64)
+    enc = make_encoder(np.random.default_rng(11), input_dim=7 * 8, hidden_dim=64, embed_dim=16)
     provider = ContextProvider(enc, n_chunks=8)
     provider.set_support("a", [fake_traj(seed=4)])
     assert "a" not in provider.cache  # not refreshed yet
